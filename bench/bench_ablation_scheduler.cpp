@@ -4,11 +4,9 @@
 // The paper tunes the degree-sum threshold to 32768 by doubling from 1
 // until load balance degrades or queue overhead vanishes; this harness
 // regenerates that tuning curve and compares the degree-sum policy against
-// static ranges and fixed-size chunks on the skewed twitter stand-in. On
-// top of the policy sweep it crosses each policy with both execution
-// runtimes — the lock-free work-stealing executor and the seed mutex/condvar
-// pool — and reports the executor's claim/steal/busy/idle counters so the
-// runtime win is quantified rather than asserted.
+// static ranges and fixed-size chunks on the skewed twitter stand-in, and
+// reports the work-stealing executor's claim/steal/busy/idle counters per
+// policy so load balance is quantified rather than asserted.
 #include <iostream>
 
 #include "common.hpp"
@@ -42,22 +40,19 @@ int main(int argc, char** argv) {
   for (const auto kind : {SchedulerKind::DegreeSum, SchedulerKind::StaticRange,
                           SchedulerKind::FixedChunk,
                           SchedulerKind::OmpDynamic}) {
-    for (const auto runtime : {RuntimeKind::WorkSteal, RuntimeKind::MutexPool}) {
-      PpScanOptions options;
-      options.num_threads = threads;
-      options.scheduler.kind = kind;
-      options.scheduler.runtime = runtime;
-      const auto run = ppscan::ppscan(graph, params, options);
-      policy_table.add_row(
-          {to_string(kind), to_string(runtime),
-           Table::fmt(run.stats.total_seconds),
-           Table::fmt(run.stats.tasks_submitted),
-           Table::fmt(run.stats.tasks_executed), Table::fmt(run.stats.steals),
-           Table::fmt(run.stats.busy_seconds),
-           Table::fmt(run.stats.idle_seconds), idle_share(run.stats)});
-    }
+    PpScanOptions options;
+    options.num_threads = threads;
+    options.scheduler.kind = kind;
+    const auto run = ppscan::ppscan(graph, params, options);
+    policy_table.add_row(
+        {to_string(kind), run.stats.runtime_kind,
+         Table::fmt(run.stats.total_seconds),
+         Table::fmt(run.stats.tasks_submitted),
+         Table::fmt(run.stats.tasks_executed), Table::fmt(run.stats.steals),
+         Table::fmt(run.stats.busy_seconds),
+         Table::fmt(run.stats.idle_seconds), idle_share(run.stats)});
   }
-  policy_table.print(std::cout, "Scheduling policy x runtime on " + dataset);
+  policy_table.print(std::cout, "Scheduling policy on " + dataset);
 
   Table threshold_table({"degree-threshold", "runtime(s)", "tasks", "steals",
                          "idle-share"});

@@ -10,14 +10,11 @@
 // times, and consecutive vertex ranges keep the edge-array accesses of a
 // task contiguous.
 //
-// Two execution runtimes are provided:
-//   * Executor (default) — the lock-free work-stealing runtime: the master
-//     precomputes the task boundaries of the whole phase into a flat
-//     TaskRange array (reusable scratch, so steady-state phases allocate
-//     nothing) and workers claim/steal indices with single CAS operations.
-//     No std::function, no mutex, no per-task allocation.
-//   * ThreadPool — the seed centralized mutex/condvar queue, kept as the
-//     measured baseline of bench_ablation_scheduler.
+// Tasks run on the lock-free work-stealing Executor: the master
+// precomputes the task boundaries of the whole phase into a flat TaskRange
+// array (reusable scratch, so steady-state phases allocate nothing) and
+// workers claim/steal indices with single CAS operations. No std::function,
+// no mutex, no per-task allocation.
 //
 // Alternative bundling policies for the scheduler ablation bench: static
 // (equal vertex ranges, one per thread) and fixed vertex-count chunks, plus
@@ -34,7 +31,6 @@
 
 #include "concurrent/executor.hpp"
 #include "concurrent/run_governor.hpp"
-#include "concurrent/thread_pool.hpp"
 #include "util/types.hpp"
 
 namespace ppscan {
@@ -64,34 +60,13 @@ inline std::string to_string(SchedulerKind kind) {
   return "?";
 }
 
-/// Execution runtime the bundled tasks run on.
-enum class RuntimeKind : std::uint8_t {
-  WorkSteal,  // lock-free work-stealing Executor (default)
-  MutexPool,  // seed mutex/condvar ThreadPool — the ablation baseline
-};
-
-inline RuntimeKind parse_runtime_kind(const std::string& name) {
-  if (name == "worksteal") return RuntimeKind::WorkSteal;
-  if (name == "mutex") return RuntimeKind::MutexPool;
-  throw std::invalid_argument("unknown runtime kind: " + name);
-}
-
-inline std::string to_string(RuntimeKind kind) {
-  switch (kind) {
-    case RuntimeKind::WorkSteal: return "worksteal";
-    case RuntimeKind::MutexPool: return "mutex";
-  }
-  return "?";
-}
-
 struct SchedulerOptions {
   SchedulerKind kind = SchedulerKind::DegreeSum;
-  RuntimeKind runtime = RuntimeKind::WorkSteal;
   std::uint64_t degree_threshold = 32768;  // paper's tuned value
   VertexId chunk_size = 4096;              // for FixedChunk
   /// Run governance (cancellation/deadline/budget/watchdog). When set, the
   /// scheduled bodies poll the cancel token every kGovernorPollStride
-  /// vertices on every runtime (executor, mutex pool, OpenMP) so even a
+  /// vertices on both paths (executor and OpenMP) so even a
   /// single huge range drains promptly after a trip. Not owned; must
   /// outlive the scheduled phases. nullptr = ungoverned (zero overhead).
   RunGovernor* governor = nullptr;
@@ -100,8 +75,8 @@ struct SchedulerOptions {
   /// degree distributions (the similarity phases' cost is degree-shaped).
   bool edge_balanced_static = false;
   /// Interior vertex boundaries no task may cross (NUMA node shards,
-  /// from edge_balanced_boundaries). When set with the WorkSteal runtime
-  /// and an executor whose num_nodes() matches, bundled tasks are grouped
+  /// from edge_balanced_boundaries). When set with an executor whose
+  /// num_nodes() matches, bundled tasks are grouped
   /// by shard and dispatched with Executor::run_sharded so node k's
   /// workers start on shard k — the range their node's CSR pages were
   /// placed for. Not owned; must outlive the scheduled phases.
@@ -328,47 +303,6 @@ ScheduleStats schedule_vertex_tasks(Executor& executor, VertexId n,
   } else {
     executor.run(ranges.data(), ranges.size(), body);
   }
-  return stats;
-}
-
-/// Legacy overload on the seed mutex-queue ThreadPool; identical semantics,
-/// kept as the measured baseline for the scheduler/runtime ablation.
-template <typename DegreeOf, typename NeedsWork, typename Work>
-ScheduleStats schedule_vertex_tasks(ThreadPool& pool, VertexId n,
-                                    DegreeOf&& degree_of,
-                                    NeedsWork&& needs_work, Work&& work,
-                                    const SchedulerOptions& options = {}) {
-  ScheduleStats stats;
-  if (options.governor != nullptr && options.governor->should_stop()) {
-    return stats;  // cancelled before bundling: the whole phase is skipped
-  }
-  if (options.kind == SchedulerKind::OmpDynamic) {
-    detail::run_omp_dynamic(pool.num_threads(), n, needs_work, work,
-                            options.governor);
-    return stats;  // no pool tasks were submitted
-  }
-  std::vector<TaskRange> ranges;
-  stats.tasks_submitted = detail::bundle_ranges(
-      ranges, n, pool.num_threads(), degree_of, needs_work, options);
-  RunGovernor* governor = options.governor;
-  for (const TaskRange r : ranges) {
-    pool.submit([r, &needs_work, &work, governor] {
-      // Same governed poll as the executor path: the token at task entry
-      // (so a cancelled queue drains fast) and every stride inside.
-      if (governor != nullptr && governor->checkpoint()) return;
-      const CancelToken* token =
-          governor != nullptr ? &governor->token() : nullptr;
-      for (VertexId u = r.beg; u < r.end; ++u) {
-        if (token != nullptr &&
-            ((u - r.beg) & (kGovernorPollStride - 1)) == 0 &&
-            token->cancelled()) {
-          return;
-        }
-        if (needs_work(u)) work(u);
-      }
-    });
-  }
-  pool.wait_idle();
   return stats;
 }
 

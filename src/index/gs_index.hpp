@@ -65,7 +65,7 @@ class GsIndex {
 
   /// Reusable per-caller query state. A fresh query() call used to allocate
   /// a full-graph union-find plus label/boundary arrays every time; a
-  /// long-lived caller (serve::QueryService keeps one per executor worker)
+  /// long-lived caller (serve::QueryService keeps one per service worker)
   /// passes the same scratch to every query so the buffers are reset, not
   /// reallocated. A default-constructed scratch is valid for any graph —
   /// query() sizes it on entry.

@@ -234,12 +234,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   run.result.normalize();
   // Phase barriers ordered every worker's slot writes before this merge.
   run.stats.counters = counters.merged();
-  run.stats.runtime_kind = to_string(RuntimeKind::WorkSteal);
-  const ExecutorStats pool_stats = pool.stats();
-  run.stats.tasks_executed = pool_stats.tasks_executed;
-  run.stats.steals = pool_stats.steals;
-  run.stats.busy_seconds = pool_stats.busy_seconds;
-  run.stats.idle_seconds = pool_stats.idle_seconds;
+  record_executor(pool, run.stats);
   run.stats.compsim_invocations = invocations.load(std::memory_order_relaxed);
   run.stats.total_seconds = total.elapsed_s();
   record_governance(governor, run.stats);

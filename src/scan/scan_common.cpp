@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "concurrent/executor.hpp"
+
 namespace ppscan {
 
 void record_governance(const RunGovernor& governor, RunStats& stats) {
@@ -16,6 +18,20 @@ void record_governance(const RunGovernor& governor, RunStats& stats) {
   stats.phases_completed =
       static_cast<std::uint32_t>(governor.phases_completed());
   stats.peak_governed_bytes = governor.peak_bytes();
+}
+
+void record_executor(const Executor& executor, RunStats& stats) {
+  const ExecutorStats es = executor.stats();
+  stats.runtime_kind = "worksteal";
+  stats.tasks_executed = es.tasks_executed;
+  stats.steals = es.steals;
+  stats.busy_seconds = es.busy_seconds;
+  stats.idle_seconds = es.idle_seconds;
+  stats.numa_nodes = static_cast<std::uint64_t>(executor.num_nodes());
+  stats.steals_same_node = es.steals_same_node;
+  stats.steals_remote = es.steals_remote;
+  stats.remote_misses = es.remote_misses;
+  stats.per_node = es.per_node;
 }
 
 void ScanResult::normalize() {

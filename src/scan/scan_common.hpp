@@ -20,6 +20,8 @@ namespace obs {
 class TraceCollector;  // obs/trace.hpp; options structs only hold a pointer
 }  // namespace obs
 
+class Executor;  // concurrent/executor.hpp
+
 /// SCAN input parameters (paper §2): 0 < ε ≤ 1 and µ ≥ 1. A vertex is a
 /// core when it has at least µ ε-similar neighbors (|N_ε(u)| − 1 ≥ µ).
 struct ScanParams {
@@ -101,8 +103,8 @@ struct RunStats {
   double stage_core_cluster_seconds = 0;
   double stage_noncore_cluster_seconds = 0;
   std::uint64_t tasks_submitted = 0;
-  /// Work-stealing executor counters (zero on the mutex-pool / OpenMP
-  /// runtimes): ranges actually claimed and run by workers, how many of
+  /// Work-stealing executor counters (record_executor; zero on the serial
+  /// algorithms): ranges actually claimed and run by workers, how many of
   /// those were taken from another worker's share, and the summed per-worker
   /// in-task vs mid-phase-waiting time — the load-balance signal the
   /// scheduler ablation compares policies on.
@@ -135,12 +137,11 @@ struct RunStats {
   std::uint32_t phases_completed = 0;
   std::uint64_t peak_governed_bytes = 0;
   /// Which execution runtime produced the executor counters above:
-  /// "worksteal" (the lock-free executor), "mutex" (the
-  /// RuntimeKind::MutexPool ablation), "openmp", or "serial". On every
-  /// runtime except "worksteal" the tasks_executed/steals/busy/idle block
-  /// is *explicitly zero* — those runtimes keep no such counters — so a
-  /// metrics consumer must key off this field rather than read zeros as
-  /// "perfectly balanced".
+  /// "worksteal" (the lock-free executor), "openmp" (ppSCAN's omp policy,
+  /// whose scheduled phases bypass the executor), or "serial". Under
+  /// "serial" the tasks_executed/steals/busy/idle block is *explicitly
+  /// zero* — nothing kept such counters — so a metrics consumer must key
+  /// off this field rather than read zeros as "perfectly balanced".
   std::string runtime_kind = "serial";
   /// The pruning funnel (see obs/counters.hpp for the convention and the
   /// invariant pruned + computed + reused == touched).
@@ -170,5 +171,12 @@ struct ScanRun {
 /// Copies the governor's outcome into the run's stats (abort taxonomy,
 /// completed-phase count, peak governed memory).
 void record_governance(const RunGovernor& governor, RunStats& stats);
+
+/// Copies a work-stealing executor's counters into the run's stats and
+/// sets runtime_kind "worksteal": the claim/steal/busy/idle block, the
+/// steal locality split, remote misses, the node count and the per-node
+/// rows. Every algorithm that runs on an Executor records through this one
+/// helper, so no counter is copied in one place and forgotten in another.
+void record_executor(const Executor& executor, RunStats& stats);
 
 }  // namespace ppscan

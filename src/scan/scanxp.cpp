@@ -229,13 +229,8 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
   // The executor barrier above ordered every worker's slot writes before
   // this serial merge.
   run.stats.counters = counters.merged();
-  run.stats.runtime_kind = to_string(RuntimeKind::WorkSteal);
   run.stats.compsim_invocations = invocations.load(std::memory_order_relaxed);
-  const ExecutorStats es = executor.stats();
-  run.stats.tasks_executed = es.tasks_executed;
-  run.stats.steals = es.steals;
-  run.stats.busy_seconds = es.busy_seconds;
-  run.stats.idle_seconds = es.idle_seconds;
+  record_executor(executor, run.stats);
   run.stats.total_seconds = total.elapsed_s();
   record_governance(governor, run.stats);
   return run;

@@ -24,7 +24,7 @@
 // Arming, from tests: fault::arm("site", spec). From the environment
 // (the CI chaos lane and the CLI smoke):
 //
-//   PPSCAN_FAULT="index.qcoretest:throw:p=0.05;serve.dispatcher:sleep-ms=2"
+//   PPSCAN_FAULT="index.qcoretest:throw:p=0.05;serve.worker:sleep-ms=2"
 //
 // Spec fields after the action: p=<probability in [0,1]> (deterministic
 // Xoshiro draw, default 1), skip=<N> (let the first N hits pass), and
@@ -35,7 +35,8 @@
 // Sites currently compiled in:
 //   executor.task       before each claimed task body runs
 //   serve.admission     submit()/try_submit() admission
-//   serve.dispatcher    dispatcher batch loop (sleep = queue stall)
+//   serve.worker        service worker, per dequeued request, outside
+//                       execute()'s own try (sleep = queue stall)
 //   serve.execute       QueryService::execute before the index walk
 //   index.qcoretest / index.qcorecluster / index.qlabelcores /
 //   index.qmembership   top of each GS*-Index query phase body

@@ -10,6 +10,9 @@
 // (sims_computed == sims_reused).
 #include <gtest/gtest.h>
 
+#include "bench_support/algorithms.hpp"
+#include "bench_support/metrics.hpp"
+#include "concurrent/topology.hpp"
 #include "core/ppscan.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
@@ -17,6 +20,7 @@
 #include "scan/pscan.hpp"
 #include "scan/scan_original.hpp"
 #include "scan/scanxp.hpp"
+#include "support/reference_scan.hpp"
 
 namespace ppscan {
 namespace {
@@ -150,6 +154,43 @@ TEST(AlgoCounters, UnionFindCountersTrackClustering) {
   if (cores > 0) {
     // Phases 6/7 look up each core's root at least once.
     EXPECT_GE(run.stats.counters.uf_finds, cores);
+  }
+}
+
+// Every algorithm's run must flatten into a metrics row that passes the
+// schema validator — in particular the steal split (steals ==
+// steals_same_node + steals_remote), which SCAN-XP and anySCAN once broke
+// by copying steals without its split. Crossed with thread counts and a
+// 2-node topology (the split PPSCAN_NUMA_NODES=2 emulates), and every
+// result checked against the brute-force oracle.
+TEST(AlgoCounters, EveryAlgorithmEmitsAValidMetricsRow) {
+  const auto g = erdos_renyi(3000, 30000, 29);
+  const auto params = ScanParams::make("0.3", 3);
+  const ScanResult oracle = testing::reference_scan(g, params);
+  const NumaTopology two_nodes = emulated_topology(2, affinity_cpus());
+  for (const std::string& name : algorithm_names()) {
+    for (const int threads : {1, 4}) {
+      for (const bool numa : {false, true}) {
+        const std::string label = name + " threads=" +
+                                  std::to_string(threads) +
+                                  (numa ? " numa=2" : " numa=off");
+        SCOPED_TRACE(label);
+        AlgorithmConfig config;
+        config.num_threads = threads;
+        if (numa) {
+          config.numa = NumaMode::Auto;
+          config.topology = &two_nodes;
+        }
+        const ScanRun run = run_algorithm(name, g, params, config);
+        EXPECT_TRUE(results_equivalent(run.result, oracle))
+            << describe_result_difference(run.result, oracle);
+        const auto report = make_metrics_report(
+            "test", name, "er3000", "0.3", params.mu,
+            static_cast<std::uint64_t>(threads), "auto", g, run);
+        EXPECT_EQ(obs::validate_metrics_json(obs::metrics_to_json(report)),
+                  "");
+      }
+    }
   }
 }
 

@@ -224,7 +224,6 @@ TEST(QueryService, TrySubmitShedsLoadWhenSaturated) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 2;
-  options.max_batch = 1;
   options.cache_results = false;
   QueryService service(index, options);
 

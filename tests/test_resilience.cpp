@@ -186,7 +186,6 @@ TEST(QueryServiceResilience, ParkedProducerIsWokenByStop) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 2;
-  options.max_batch = 1;
   options.cache_results = false;
   QueryService service(index, options);
 
@@ -225,7 +224,6 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   const GsIndex index(g);
   ServiceOptions options;
   options.num_threads = 1;
-  options.max_batch = 1;
   options.cache_results = false;
   options.shed_target_delay = std::chrono::milliseconds(1);
   obs::TraceCollector trace(options.num_threads);
@@ -442,7 +440,7 @@ TEST_F(FaultArmed, OnePoisonedQueryFailsAloneInEachPhase) {
     expected[{num, 2}] = index.query(p).result;
   }
 
-  const char* kSites[] = {"executor.task",      "serve.execute",
+  const char* kSites[] = {"serve.worker",       "serve.execute",
                           "index.qcoretest",    "index.qcorecluster",
                           "index.qlabelcores",  "index.qmembership"};
   for (const char* site : kSites) {
@@ -564,7 +562,6 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   const GsIndex index(g);
   ServiceOptions options;
   options.num_threads = 1;
-  options.max_batch = 1;  // the dispatcher serializes: warm, then probe
   options.cache_results = true;
   options.breaker_failure_threshold = 1;
   options.breaker_cooldown = std::chrono::milliseconds(25);
@@ -631,7 +628,7 @@ TEST_F(FaultArmed, ChaosSoakEveryFutureResolves) {
       (env != nullptr && env[0] != '\0')
           ? env
           : "serve.execute:throw:p=0.10;index.qcoretest:throw:p=0.05;"
-            "index.qmembership:bad-alloc:p=0.05;serve.dispatcher:sleep-ms=1:"
+            "index.qmembership:bad-alloc:p=0.05;serve.worker:sleep-ms=1:"
             "p=0.02";
   ASSERT_EQ(fault::arm_from_string(spec), "") << spec;
 

@@ -15,21 +15,9 @@ struct Harness {
   std::vector<std::atomic<int>> visited;
 };
 
-TEST(TaskScheduler, VisitsEveryVertexExactlyOnce) {
-  constexpr VertexId n = 10000;
-  ThreadPool pool(4);
-  Harness h(n);
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 10; }, [](VertexId) { return true; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); });
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), 1) << "vertex " << u;
-  }
-}
-
 TEST(TaskScheduler, SkipsVerticesNotNeedingWork) {
   constexpr VertexId n = 1000;
-  ThreadPool pool(2);
+  Executor pool(2);
   Harness h(n);
   schedule_vertex_tasks(
       pool, n, [](VertexId) { return 1; },
@@ -42,7 +30,7 @@ TEST(TaskScheduler, SkipsVerticesNotNeedingWork) {
 
 TEST(TaskScheduler, DegreeThresholdControlsTaskCount) {
   constexpr VertexId n = 1024;
-  ThreadPool pool(2);
+  Executor pool(2);
   SchedulerOptions options;
   options.kind = SchedulerKind::DegreeSum;
   options.degree_threshold = 100;
@@ -58,7 +46,7 @@ TEST(TaskScheduler, DegreeThresholdControlsTaskCount) {
 TEST(TaskScheduler, HighDegreeVertexGetsItsOwnTask) {
   // One huge-degree vertex must immediately flush a task.
   constexpr VertexId n = 10;
-  ThreadPool pool(2);
+  Executor pool(2);
   SchedulerOptions options;
   options.degree_threshold = 100;
   std::atomic<std::uint64_t> count{0};
@@ -72,7 +60,7 @@ TEST(TaskScheduler, HighDegreeVertexGetsItsOwnTask) {
 
 TEST(TaskScheduler, StaticRangePolicyCoversAllVertices) {
   constexpr VertexId n = 997;  // prime, to catch off-by-one in range math
-  ThreadPool pool(4);
+  Executor pool(4);
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
   Harness h(n);
@@ -85,7 +73,7 @@ TEST(TaskScheduler, StaticRangePolicyCoversAllVertices) {
 
 TEST(TaskScheduler, FixedChunkPolicyCoversAllVertices) {
   constexpr VertexId n = 1000;
-  ThreadPool pool(4);
+  Executor pool(4);
   SchedulerOptions options;
   options.kind = SchedulerKind::FixedChunk;
   options.chunk_size = 64;
@@ -98,7 +86,7 @@ TEST(TaskScheduler, FixedChunkPolicyCoversAllVertices) {
 }
 
 TEST(TaskScheduler, EmptyVertexRange) {
-  ThreadPool pool(2);
+  Executor pool(2);
   const auto stats = schedule_vertex_tasks(
       pool, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
       [](VertexId) { FAIL() << "no vertex should be visited"; });
@@ -106,7 +94,7 @@ TEST(TaskScheduler, EmptyVertexRange) {
 }
 
 TEST(TaskScheduler, NothingNeedsWork) {
-  ThreadPool pool(2);
+  Executor pool(2);
   std::atomic<int> visits{0};
   schedule_vertex_tasks(
       pool, 100, [](VertexId) { return 1; }, [](VertexId) { return false; },
@@ -118,7 +106,7 @@ TEST(TaskScheduler, PredicateReTestedInsideTask) {
   // A vertex whose predicate flips between bundling and execution is
   // skipped by the worker-side re-test (vertices settled by other tasks).
   constexpr VertexId n = 100;
-  ThreadPool pool(1);
+  Executor pool(1);
   std::vector<std::atomic<bool>> todo(n);
   for (auto& t : todo) t.store(true);
   std::atomic<int> visits{0};
@@ -135,21 +123,6 @@ TEST(TaskScheduler, PredicateReTestedInsideTask) {
   // Every visited vertex was still pending; far fewer than n visits happen.
   EXPECT_GT(visits.load(), 0);
   EXPECT_LE(visits.load(), static_cast<int>(n));
-}
-
-TEST(TaskScheduler, OmpDynamicPolicyCoversAllVertices) {
-  constexpr VertexId n = 997;
-  ThreadPool pool(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::OmpDynamic;
-  Harness h(n);
-  schedule_vertex_tasks(
-      pool, n, [](VertexId) { return 1; },
-      [](VertexId u) { return u % 2 == 0; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), u % 2 == 0 ? 1 : 0);
-  }
 }
 
 TEST(TaskScheduler, ExecutorRuntimeVisitsEveryVertexExactlyOnce) {
@@ -208,25 +181,16 @@ TEST(TaskScheduler, ExecutorRuntimeOmpDynamicBypass) {
 }
 
 TEST(TaskScheduler, StaticRangeEmptyVertexRange) {
-  // n == 0 must produce no tasks and no zero-width ranges on either
-  // runtime (the static-range width math is where the division/stride
-  // hazards live; see bundle_ranges).
+  // n == 0 must produce no tasks and no zero-width ranges (the
+  // static-range width math is where the division/stride hazards live;
+  // see bundle_ranges).
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
-  {
-    ThreadPool pool(4);
-    const auto stats = schedule_vertex_tasks(
-        pool, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
-    EXPECT_EQ(stats.tasks_submitted, 0u);
-  }
-  {
-    Executor executor(4);
-    const auto stats = schedule_vertex_tasks(
-        executor, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
-    EXPECT_EQ(stats.tasks_submitted, 0u);
-  }
+  Executor executor(4);
+  const auto stats = schedule_vertex_tasks(
+      executor, 0, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [](VertexId) { FAIL() << "no vertex should be visited"; }, options);
+  EXPECT_EQ(stats.tasks_submitted, 0u);
 }
 
 TEST(TaskScheduler, StaticRangeFewerVerticesThanThreads) {
@@ -235,24 +199,13 @@ TEST(TaskScheduler, StaticRangeFewerVerticesThanThreads) {
   constexpr VertexId n = 3;
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
-  {
-    ThreadPool pool(8);
-    Harness h(n);
-    const auto stats = schedule_vertex_tasks(
-        pool, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-    for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-    EXPECT_EQ(stats.tasks_submitted, n);
-  }
-  {
-    Executor executor(8);
-    Harness h(n);
-    const auto stats = schedule_vertex_tasks(
-        executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
-        [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-    for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-    EXPECT_EQ(stats.tasks_submitted, n);
-  }
+  Executor executor(8);
+  Harness h(n);
+  const auto stats = schedule_vertex_tasks(
+      executor, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
+      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
+  for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
+  EXPECT_EQ(stats.tasks_submitted, n);
 }
 
 TEST(SchedulerKindParsing, RoundTrip) {
@@ -262,13 +215,6 @@ TEST(SchedulerKindParsing, RoundTrip) {
     EXPECT_EQ(parse_scheduler_kind(to_string(kind)), kind);
   }
   EXPECT_THROW(parse_scheduler_kind("bogus"), std::invalid_argument);
-}
-
-TEST(RuntimeKindParsing, RoundTrip) {
-  for (const auto kind : {RuntimeKind::WorkSteal, RuntimeKind::MutexPool}) {
-    EXPECT_EQ(parse_runtime_kind(to_string(kind)), kind);
-  }
-  EXPECT_THROW(parse_runtime_kind("bogus"), std::invalid_argument);
 }
 
 }  // namespace

@@ -496,7 +496,7 @@ int cmd_query(const Flags& flags) {
 /// `serve <graph>`: build the index once, start a QueryService and answer
 /// the queries read from stdin ("<eps> <mu>" per line, EOF ends the
 /// session). Every line is submitted before the first answer is collected,
-/// so the batch actually exercises the concurrent path; answers print in
+/// so the session actually exercises the concurrent path; answers print in
 /// submission order. --metrics-json writes the serving row (queries[] +
 /// latency_histogram + queries_per_second).
 int cmd_serve(const Flags& flags) {
@@ -526,7 +526,6 @@ int cmd_serve(const Flags& flags) {
   options.num_threads = threads;
   options.queue_capacity =
       static_cast<std::size_t>(flags.get_int("queue", 1024));
-  options.max_batch = static_cast<std::size_t>(flags.get_int("batch", 32));
   options.cache_results = !flags.get_bool("no-cache", false);
   options.default_limits = parse_limits(flags);
   options.shed_target_delay =
@@ -727,7 +726,7 @@ void usage() {
          "  validate <graph>                 (check CSR invariants)\n"
          "  validate <graph> <result> [--eps E] [--mu M] [--partial]\n"
          "  query <graph> [--eps list] [--mu list] [--timeout-ms T]\n"
-         "  serve <graph> [--threads N] [--queue C] [--batch B] [--no-cache]\n"
+         "  serve <graph> [--threads N] [--queue C] [--no-cache]\n"
          "        [--timeout-ms T] [--numa auto|off|interleave]\n"
          "        [--metrics-json file]   (reads \"<eps> <mu>\" per stdin\n"
          "        line; concurrent QueryService over one GS*-Index)\n"
