@@ -10,20 +10,24 @@
 //
 //   * Construction intersects every edge once (parallel, SIMD exact count)
 //     and sorts each vertex's neighbors by similarity descending
-//     ("neighbor order").
-//   * A query decides coreness in O(1) per vertex — the µ-th most similar
-//     neighbor's σ against ε — and walks only ε-similar prefixes of the
-//     neighbor orders for the clustering, so query time scales with the
-//     result size rather than with |E|. Because the neighbor order is
-//     sorted by σ descending, the ε-prefix boundary of each core is found
-//     by binary search (O(log d) exact tests) instead of testing every
-//     prefix entry.
+//     ("neighbor order"). A last pass builds one "core order" per µ: every
+//     vertex of degree ≥ µ, sorted by the σ of its µ-th neighbor-order
+//     entry descending, ties by id.
+//   * A query's core test is one binary search over the µ core order: the
+//     cores of (ε, µ) are exactly its ε-similar prefix (O(log |V|) exact
+//     tests). Clustering walks only the ε-similar prefixes of the cores'
+//     neighbor orders; because those are sorted by σ descending, each
+//     prefix boundary is found by binary search (O(log d) exact tests).
+//     The remaining per-query sweeps visit cores in vertex-id order, which
+//     costs O(|V|) one-byte role reads on top of the answer-sized work:
+//     walking the core prefix in σ order instead turns the offset and
+//     union-find accesses random, which measured slower on low-ε queries.
 //
 // Similarities are kept exact: per neighbor-order slot we store the
-// closed-neighborhood overlap cn = |Γ(u)∩Γ(v)| and the product
-// P = (d_u+1)(d_v+1), and σ(u,v) ≥ a/b is evaluated as cn²b² ≥ a²P in
-// 128-bit arithmetic — identical decisions to every other algorithm in the
-// library.
+// closed-neighborhood overlap cn = |Γ(u)∩Γ(v)| and the neighbor's degree,
+// the product P = (d_u+1)(d_v+1) is formed on use, and σ(u,v) ≥ a/b is
+// evaluated as cn²b² ≥ a²P in 128-bit arithmetic — identical decisions
+// to every other algorithm in the library.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +80,8 @@ class GsIndex {
     /// the membership phase. Meaningless for non-cores.
     std::vector<EdgeId> prefix_end;
     /// Per-root minimum core id, the cluster-id convention shared with the
-    /// other algorithms.
+    /// other algorithms. Reset for cores (the only roots) during the
+    /// clustering phase; meaningless for non-cores.
     std::vector<VertexId> cluster_label;
   };
 
@@ -109,8 +114,8 @@ class GsIndex {
   /// The graph this index answers queries for.
   [[nodiscard]] const CsrGraph& graph() const { return graph_; }
 
-  /// Index memory footprint (overlap + neighbor-order arrays), for the
-  /// construction cost discussion.
+  /// Index memory footprint (overlap, neighbor-order and core-order
+  /// arrays), for the construction cost discussion.
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
   /// Exact closed-neighborhood overlap |Γ(u)∩Γ(v)| of arc `e` (testing).
@@ -119,8 +124,10 @@ class GsIndex {
   }
 
  private:
-  /// σ(neighbor-order entry `slot`) ≥ ε via the stored (cn, P) key.
-  [[nodiscard]] bool entry_similar(const EpsRational& eps, EdgeId slot) const;
+  /// σ(neighbor-order entry `slot` of vertex `u`) ≥ ε via the stored cn
+  /// and the degree product P = (d_u+1)(d_v+1).
+  [[nodiscard]] bool entry_similar(const EpsRational& eps, VertexId u,
+                                   EdgeId slot) const;
 
   /// One-past-the-end slot of core `u`'s ε-similar prefix, by binary search
   /// over the σ-descending neighbor order. Entries [begin, begin+µ) are
@@ -137,11 +144,16 @@ class GsIndex {
   /// Neighbor order, one entry per arc slot, each vertex's window re-ordered
   /// by σ descending. Three parallel arrays so a prefix walk is sequential
   /// loads with no indirection back through the CSR: the neighbor itself,
-  /// its overlap cn, and the degree product P = (d_u+1)(d_v+1) that
-  /// entry_similar needs.
+  /// its overlap cn, and its degree (entry_similar forms P from it).
   std::vector<VertexId> ordered_dst_;
   std::vector<std::uint32_t> ordered_cn_;
-  std::vector<std::uint64_t> ordered_pk_;
+  std::vector<std::uint32_t> ordered_deg_;
+  /// Core orders for µ = 1…max degree, concatenated: the order for µ is
+  /// core_order_[core_order_begin_[µ-1], core_order_begin_[µ]) and lists
+  /// every vertex of degree ≥ µ by the σ of its µ-th neighbor-order entry,
+  /// descending, ties by id. Σ_µ |{u : d_u ≥ µ}| = Σ_u d_u = |arcs|.
+  std::vector<VertexId> core_order_;
+  std::vector<EdgeId> core_order_begin_;
   BuildStats build_stats_;
   bool complete_ = false;
 };

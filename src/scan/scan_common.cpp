@@ -61,7 +61,29 @@ std::vector<std::vector<VertexId>> ScanResult::canonical_clusters() const {
 }
 
 std::size_t ScanResult::num_clusters() const {
-  return canonical_clusters().size();
+  // The number of distinct cluster ids over cores and memberships — exactly
+  // the key count of canonical_clusters(), without building it. Ids are
+  // vertex ids in every algorithm's convention; anything else (a partial
+  // run's kInvalidVertex) is counted through a sorted side list.
+  const std::size_t n = core_cluster_id.size();
+  std::vector<bool> seen(n, false);
+  std::vector<VertexId> other;
+  std::size_t count = 0;
+  const auto note = [&](VertexId cid) {
+    if (cid >= n) {
+      other.push_back(cid);
+    } else if (!seen[cid]) {
+      seen[cid] = true;
+      ++count;
+    }
+  };
+  for (VertexId u = 0; u < n; ++u) {
+    if (roles[u] == Role::Core) note(core_cluster_id[u]);
+  }
+  for (const auto& [v, cid] : noncore_memberships) note(cid);
+  std::sort(other.begin(), other.end());
+  return count + static_cast<std::size_t>(
+                     std::unique(other.begin(), other.end()) - other.begin());
 }
 
 std::uint64_t ScanResult::num_cores() const {

@@ -68,6 +68,8 @@ struct ScanResult {
   /// clusterings agree.
   [[nodiscard]] std::vector<std::vector<VertexId>> canonical_clusters() const;
 
+  /// canonical_clusters().size() in O(|V| + |memberships|), with nothing
+  /// built — cheap enough for every served answer.
   [[nodiscard]] std::size_t num_clusters() const;
   [[nodiscard]] std::uint64_t num_cores() const;
 };

@@ -357,7 +357,7 @@ class QueryService {
     }
   };
   /// Cached entry: the run plus its cluster/core counts, computed once at
-  /// execution so a cache hit never pays the O(n) num_clusters() scan.
+  /// execution (two O(|V|) sweeps) so a cache hit pays neither.
   struct CachedResult {
     std::shared_ptr<const ScanRun> run;
     std::uint64_t num_clusters = 0;

@@ -1,8 +1,9 @@
 // Differential fuzzing: random graphs × random (ε, µ) × every algorithm,
-// every kernel, the GS*-Index, and permutation-equivariance — all checked
-// against the brute-force oracle in one loop. Catches interaction bugs the
-// per-module suites cannot (e.g. a kernel edge case that only appears with
-// a particular pruning state).
+// every kernel, the GS*-Index (built on a random thread count, queried
+// directly and through a QueryService), and permutation-equivariance — all
+// checked against the brute-force oracle in one loop. Catches interaction
+// bugs the per-module suites cannot (e.g. a kernel edge case that only
+// appears with a particular pruning state).
 #include <gtest/gtest.h>
 
 #include "bench_support/algorithms.hpp"
@@ -10,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 #include "scan/relabel.hpp"
+#include "serve/query_service.hpp"
 #include "support/reference_scan.hpp"
 #include "util/rng.hpp"
 
@@ -54,7 +56,9 @@ ScanParams random_params(Rng& rng) {
   const std::uint64_t num = 1 + rng.next_below(den);
   ScanParams params;
   params.eps = {num, den};
-  params.mu = static_cast<std::uint32_t>(1 + rng.next_below(8));
+  // µ in [0, 10]: 0 makes every vertex a core, and the small graphs'
+  // maximum degree is often below 10.
+  params.mu = static_cast<std::uint32_t>(rng.next_below(11));
   return params;
 }
 
@@ -95,10 +99,22 @@ TEST(DifferentialFuzz, AllImplementationsAgreeWithTheOracle) {
           << "ppSCAN/" << to_string(kind) << " @ " << context;
     }
 
-    // Index queries.
-    const GsIndex index(graph);
+    // Index queries, direct and served.
+    GsIndex::BuildOptions build;
+    build.num_threads = 1 + static_cast<int>(rng.next_below(4));
+    const GsIndex index(graph, build);
     ASSERT_TRUE(results_equivalent(expected, index.query(params).result))
-        << "GsIndex @ " << context;
+        << "GsIndex (" << build.num_threads << " build threads) @ "
+        << context;
+    serve::ServiceOptions serving;
+    serving.num_threads = 1 + static_cast<int>(rng.next_below(4));
+    serving.cache_results = false;
+    serve::QueryService service(index, serving);
+    const serve::QueryResponse response = service.submit(params).get();
+    ASSERT_NE(response.run, nullptr) << "QueryService @ " << context;
+    ASSERT_TRUE(results_equivalent(expected, response.run->result))
+        << "QueryService (" << serving.num_threads << " workers) @ "
+        << context;
 
     // Permutation equivariance through a random relabeling.
     std::vector<VertexId> perm(graph.num_vertices());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/ppscan.hpp"
 #include "graph/fixtures.hpp"
 #include "graph/generators.hpp"
@@ -29,15 +32,124 @@ TEST(GsIndex, QueryMatchesReferenceAcrossTheGrid) {
 }
 
 TEST(GsIndex, ParallelConstructionMatchesSequential) {
-  const auto g = erdos_renyi(400, 3000, 19);
+  // Large enough that the low-µ core orders take the radix-sort path, and
+  // the parallel build sorts them on different workers.
+  LfrParams p;
+  p.n = 3000;
+  p.avg_degree = 12;
+  const auto g = lfr_like(p, 19);
   GsIndex::BuildOptions sequential;
   GsIndex::BuildOptions parallel;
   parallel.num_threads = 4;
   const GsIndex a(g, sequential);
   const GsIndex b(g, parallel);
-  const auto params = ScanParams::make("0.5", 3);
-  EXPECT_TRUE(results_equivalent(a.query(params).result,
-                                 b.query(params).result));
+  for (const auto& params : testing::parameter_grid()) {
+    const auto ra = a.query(params);
+    const auto rb = b.query(params);
+    EXPECT_TRUE(results_equivalent(ra.result, rb.result))
+        << "eps=" << params.eps.to_double() << " mu=" << params.mu << ": "
+        << describe_result_difference(ra.result, rb.result);
+    EXPECT_EQ(ra.stats.counters.arcs_touched, rb.stats.counters.arcs_touched);
+  }
+}
+
+TEST(GsIndex, CoreOrdersStayExactAroundAHighDegreeHub) {
+  // A hub of degree ~1000 is too wide for the sort keys to separate every
+  // pair of distinct σ on their own, so the build re-checks runs of equal
+  // keys with the exact comparator; answers must not change.
+  const VertexId n = 2500;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 1; v <= 1000; ++v) edges.emplace_back(0, v);
+  const auto er = erdos_renyi(n, 10000, 73);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : er.neighbors(u)) {
+      if (u < v && u != 0) edges.emplace_back(u, v);
+    }
+  }
+  const auto g = GraphBuilder::from_edges(edges, n);
+  GsIndex::BuildOptions options;
+  options.num_threads = 2;
+  const GsIndex index(g, options);
+  for (const auto& params : testing::parameter_grid()) {
+    const auto run = index.query(params);
+    const auto online = ppscan(g, params);
+    EXPECT_TRUE(results_equivalent(online.result, run.result))
+        << "eps=" << params.eps.to_double() << " mu=" << params.mu << ": "
+        << describe_result_difference(online.result, run.result);
+  }
+}
+
+TEST(GsIndex, MuZeroMakesEveryVertexACore) {
+  // The core test's µ − 1 slot arithmetic must not reach µ = 0: every
+  // vertex, isolated ones included, has at least zero ε-similar neighbors.
+  const auto g = erdos_renyi(200, 500, 59);
+  const GsIndex index(g);
+  for (const char* eps : {"0.2", "0.5", "0.9", "1"}) {
+    const auto params = ScanParams::make(eps, 0);
+    const auto run = index.query(params);
+    const auto online = ppscan(g, params);
+    EXPECT_TRUE(results_equivalent(online.result, run.result))
+        << "eps=" << eps << ": "
+        << describe_result_difference(online.result, run.result);
+    EXPECT_EQ(run.result.num_cores(), g.num_vertices());
+  }
+}
+
+TEST(GsIndex, MuAboveTheMaximumDegreeHasNoCores) {
+  const auto g = make_clique(6);
+  const GsIndex index(g);
+  for (const std::uint32_t mu : {5u, 6u, 7u, 1000u}) {
+    const auto params = ScanParams::make("0.5", mu);
+    const auto run = index.query(params);
+    EXPECT_TRUE(results_equivalent(reference_scan(g, params), run.result))
+        << "mu=" << mu;
+    EXPECT_EQ(run.result.num_cores(), mu <= 5 ? 6u : 0u) << "mu=" << mu;
+  }
+}
+
+TEST(GsIndex, CoreTestHoldsAtAnExactBoundaryTie) {
+  // ε equal to the exact σ of a vertex's µ-th most similar neighbor makes
+  // cn²·den² == num²·P: the vertex is a core (σ ≥ ε) and must land
+  // inside the core-order prefix. σ is rational where P = (d_u+1)(d_v+1)
+  // is a perfect square; pick such entries for several µ.
+  LfrParams p;
+  p.n = 1500;
+  p.avg_degree = 12;
+  const auto g = lfr_like(p, 71);
+  const GsIndex index(g);
+  using U128 = unsigned __int128;
+  for (const std::uint32_t mu : {1u, 2u, 3u, 5u, 8u}) {
+    int ties = 0;
+    for (VertexId u = 0; u < g.num_vertices() && ties < 3; ++u) {
+      if (g.degree(u) < mu) continue;
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> sims;  // (cn, P)
+      for (const VertexId v : g.neighbors(u)) {
+        sims.emplace_back(
+            intersect_count_merge(g.neighbors(u), g.neighbors(v)) + 2,
+            (std::uint64_t{g.degree(u)} + 1) * (g.degree(v) + 1));
+      }
+      std::sort(sims.begin(), sims.end(), [](const auto& a, const auto& b) {
+        return U128(a.first) * a.first * b.second >
+               U128(b.first) * b.first * a.second;
+      });
+      const auto [cn, pk] = sims[mu - 1];
+      auto root = static_cast<std::uint64_t>(std::sqrt(double(pk)));
+      while (root * root > pk) --root;
+      while ((root + 1) * (root + 1) <= pk) ++root;
+      if (root * root != pk) continue;
+      ++ties;
+      ScanParams params;
+      params.eps = {cn, root};
+      params.mu = mu;
+      const auto run = index.query(params);
+      EXPECT_EQ(run.result.roles[u], Role::Core) << "u=" << u << " mu=" << mu;
+      const auto online = ppscan(g, params);
+      EXPECT_TRUE(results_equivalent(online.result, run.result))
+          << "u=" << u << " eps=" << cn << "/" << root << " mu=" << mu
+          << ": " << describe_result_difference(online.result, run.result);
+    }
+    EXPECT_GT(ties, 0) << "no rational tie found for mu=" << mu;
+  }
 }
 
 TEST(GsIndex, CountKernelChoiceDoesNotChangeTheIndex) {
@@ -71,11 +183,19 @@ TEST(GsIndex, ConstructionDoesOneIntersectionPerEdge) {
 TEST(GsIndex, MemoryFootprintIsPerArc) {
   const auto g = erdos_renyi(100, 600, 31);
   const GsIndex index(g);
-  // overlap (u32) + neighbor-order dst (u32) + cn (u32) + degree product
-  // (u64) per arc slot; the sort-time slot permutation is transient.
+  // Per arc slot: overlap (u32) + neighbor-order dst (u32), cn (u32) and
+  // neighbor degree (u32) + one core-order entry (u32, Σ_µ |{d_u ≥ µ}| =
+  // |arcs|); plus one core-order offset per µ = 0…max degree. The sort-time
+  // scratch is transient.
+  VertexId max_degree = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    max_degree = std::max(max_degree, g.degree(u));
+  }
   EXPECT_EQ(index.memory_bytes(),
             g.num_arcs() * (sizeof(std::uint32_t) + sizeof(VertexId) +
-                            sizeof(std::uint32_t) + sizeof(std::uint64_t)));
+                            sizeof(std::uint32_t) + sizeof(std::uint32_t) +
+                            sizeof(VertexId)) +
+                (std::uint64_t{max_degree} + 1) * sizeof(EdgeId));
 }
 
 TEST(GsIndex, QueryCountsThePruningFunnel) {
@@ -93,7 +213,8 @@ TEST(GsIndex, QueryCountsThePruningFunnel) {
         << "eps=" << params.eps.to_double() << " mu=" << params.mu;
     EXPECT_EQ(c.sims_computed, 0u);
     EXPECT_EQ(c.arcs_predicate_pruned, 0u);
-    // Every vertex with degree >= mu pays at least the core-test entry.
+    // The core test's binary search probes the µ core order at least once
+    // whenever some vertex has degree >= mu.
     EXPECT_GT(c.arcs_touched, 0u);
     if (run.result.num_cores() > 0) {
       EXPECT_GT(c.uf_finds, 0u);

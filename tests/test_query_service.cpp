@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/ppscan.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 
@@ -112,6 +113,26 @@ TEST(QueryService, ConcurrentMixedQueriesMatchSingleThreadedQuery) {
                 snap.counters.sims_computed + snap.counters.sims_reused);
   EXPECT_GT(snap.counters.arcs_touched, 0u);
   EXPECT_EQ(snap.counters.sims_computed, 0u);  // index queries never intersect
+}
+
+TEST(QueryService, MuZeroAnswersMatchPpScan) {
+  // The CLI refuses µ = 0 but submit() accepts it; the served answer must be
+  // the library's (every vertex a core), not an out-of-bounds index read.
+  const auto g = erdos_renyi(400, 1200, 61);
+  const GsIndex index(g);
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.cache_results = false;
+  QueryService service(index, options);
+  for (const char* eps : {"0.3", "0.6", "1"}) {
+    const auto params = ScanParams::make(eps, 0);
+    const QueryResponse response = service.submit(params).get();
+    ASSERT_NE(response.run, nullptr);
+    const auto online = ppscan(g, params);
+    EXPECT_TRUE(results_equivalent(online.result, response.run->result))
+        << "eps=" << eps << ": "
+        << describe_result_difference(online.result, response.run->result);
+  }
 }
 
 TEST(QueryService, CacheHitsAliasTheStoredRunAndAreCounted) {

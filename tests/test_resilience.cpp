@@ -231,7 +231,7 @@ TEST(QueryServiceResilience, OverloadShedsWithRetryAfterHint) {
   QueryService service(index, options);
 
   // Feed faster than one worker can drain, pausing briefly every few
-  // submissions so the dispatcher gets to drain *something* and publish
+  // submissions so the worker gets to drain *something* and publish
   // the observed sojourn — the signal the CoDel gate sheds on. (A pure
   // burst would hit queue-full before the first sojourn update.)
   std::vector<std::future<QueryResponse>> admitted;
@@ -327,7 +327,7 @@ TEST(QueryServiceResilience, DegradationLadderServesNearestCachedRun) {
                    ScanParams::make("0.45", 3));
 
   // The substitution also left a trace event (read after stop() joins the
-  // dispatcher — the snapshot's required happens-before edge).
+  // workers — the snapshot's required happens-before edge).
   service.stop();
   bool degraded_mark = false;
   for (const auto& e : trace.buffer(trace.master_slot()).snapshot()) {
@@ -582,7 +582,7 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   fault::reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Occupy the dispatcher with a slow *blocking* query (submit() bypasses
+  // Occupy the one worker with a slow *blocking* query (submit() bypasses
   // the breaker by contract) for a fresh (ε, µ)...
   {
     fault::Spec slow;
@@ -595,7 +595,7 @@ TEST_F(FaultArmed, BreakerProbeAnsweredFromCacheDoesNotWedgeHalfOpen) {
   // ...and admit the same parameters non-blocking while it runs. This
   // admission misses the cache (the warm run has not finished yet), so it
   // passes the gate and becomes the half-open probe — but by the time the
-  // dispatcher executes it the warm run has been cached, so the probe
+  // worker executes it the warm run has been cached, so the probe
   // resolves as a cache hit.
   std::future<QueryResponse> probe;
   ASSERT_TRUE(

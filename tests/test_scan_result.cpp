@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_support/algorithms.hpp"
+#include "graph/generators.hpp"
+#include "index/gs_index.hpp"
+#include "support/random_graphs.hpp"
+
 namespace ppscan {
 namespace {
 
@@ -37,6 +42,58 @@ TEST(ScanResult, CountsCores) {
 
 TEST(ScanResult, NumClusters) {
   EXPECT_EQ(tiny_result().num_clusters(), 2u);
+}
+
+// num_clusters() counts distinct cluster ids instead of building the
+// canonical clusters; the two must agree on every shape a result can take.
+TEST(ScanResult, NumClustersMatchesCanonicalClustersOnEveryAlgorithm) {
+  const auto g = erdos_renyi(300, 2400, 47);
+  for (const auto& name : algorithm_names()) {
+    for (const auto& params : testing::parameter_grid()) {
+      const auto run = run_algorithm(name, g, params);
+      EXPECT_EQ(run.result.num_clusters(),
+                run.result.canonical_clusters().size())
+          << name << " eps=" << params.eps.to_double()
+          << " mu=" << params.mu;
+    }
+  }
+}
+
+TEST(ScanResult, NumClustersMatchesCanonicalClustersOnPartialRuns) {
+  const auto g = erdos_renyi(300, 2400, 53);
+  const auto params = ScanParams::make("0.3", 2);
+  for (int phase = 1; phase <= 7; ++phase) {
+    AlgorithmConfig config;
+    config.num_threads = 2;
+    config.limits.cancel_at_phase = phase;
+    const auto run = run_algorithm("ppSCAN", g, params, config);
+    ASSERT_TRUE(run.partial()) << "phase " << phase;
+    EXPECT_EQ(run.result.num_clusters(),
+              run.result.canonical_clusters().size())
+        << "ppSCAN cancelled at phase " << phase;
+  }
+  // An index query cut before labeling leaves every core at
+  // kInvalidVertex: one canonical cluster, one distinct id.
+  const GsIndex index(g);
+  GsIndex::QueryScratch scratch;
+  RunLimits limits;
+  limits.cancel_at_phase = 2;
+  RunGovernor governor(limits, nullptr);
+  const auto run = index.query(params, scratch, &governor);
+  ASSERT_TRUE(run.partial());
+  ASSERT_GT(run.result.num_cores(), 0u);
+  EXPECT_EQ(run.result.num_clusters(), 1u);
+  EXPECT_EQ(run.result.canonical_clusters().size(), 1u);
+}
+
+TEST(ScanResult, NumClustersCountsOutOfRangeIds) {
+  auto r = tiny_result();
+  // Core 1 carries kInvalidVertex; vertex 4 belongs to an id past |V|.
+  r.core_cluster_id[1] = kInvalidVertex;
+  r.noncore_memberships.emplace_back(4, 99);
+  r.noncore_memberships.emplace_back(4, 99);
+  EXPECT_EQ(r.num_clusters(), r.canonical_clusters().size());
+  EXPECT_EQ(r.num_clusters(), 4u);
 }
 
 TEST(ResultsEquivalent, IgnoresClusterIdNumbering) {
