@@ -238,56 +238,26 @@ void Executor::supervisor_loop() {
   }
 }
 
-void Executor::begin_phase(RangeFn fn, void* ctx) {
-  fn_ = fn;
-  ctx_ = ctx;
-  tasks_ = nullptr;
-  // Publishing the new phase tag invalidates every segment cursor (their
-  // tags are now stale) and makes fn_/ctx_ visible to any worker that
-  // acquires phase_ or pops a range pushed after this store.
-  phase_.store(phase_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_release);
-}
-
 void Executor::run(const TaskRange* tasks, std::size_t count, RangeFn fn,
                    void* ctx) {
-  fn_ = fn;
-  ctx_ = ctx;
-  tasks_ = tasks;
-  const std::uint32_t p = phase_.load(std::memory_order_relaxed) + 1;
-  if (count > 0) {
-    pending_.fetch_add(static_cast<std::uint32_t>(count),
-                       std::memory_order_relaxed);
-    // Contiguous per-worker segments of the flat task array: worker w owns
-    // [count*w/W, count*(w+1)/W). Claims are CASes on the tagged cursors,
-    // so exhausted workers drain neighbors' segments with the same
-    // one-CAS operation (= stealing).
-    const auto total = static_cast<std::uint64_t>(count);
-    const auto workers = static_cast<std::uint64_t>(num_workers_);
-    for (std::uint64_t w = 0; w < workers; ++w) {
-      const std::uint64_t beg = total * w / workers;
-      const std::uint64_t end = total * (w + 1) / workers;
-      Worker& worker = *workers_[static_cast<std::size_t>(w)];
-      worker.segment_end.store((static_cast<std::uint64_t>(p) << 32) | end,
-                               std::memory_order_relaxed);
-      worker.cursor.store((static_cast<std::uint64_t>(p) << 32) | beg,
-                          std::memory_order_relaxed);
-    }
-  }
-  phase_.store(p, std::memory_order_release);
-  if (count > 0) wake_workers();
-  wait_idle();
+  const std::size_t whole[] = {0, count};
+  run_windows(tasks, count, whole, 1, fn, ctx);
 }
 
 void Executor::run_sharded(const TaskRange* tasks, std::size_t count,
                            const std::size_t* node_task_begin, RangeFn fn,
                            void* ctx) {
   if (num_nodes_ <= 1) {
-    // Uniform topology: one node window == the whole array; plain run()
-    // produces the identical segmentation.
+    // Uniform topology: the one node window is the whole array.
     run(tasks, count, fn, ctx);
     return;
   }
+  run_windows(tasks, count, node_task_begin, num_nodes_, fn, ctx);
+}
+
+void Executor::run_windows(const TaskRange* tasks, std::size_t count,
+                           const std::size_t* window_begin, int windows,
+                           RangeFn fn, void* ctx) {
   fn_ = fn;
   ctx_ = ctx;
   tasks_ = tasks;
@@ -295,23 +265,23 @@ void Executor::run_sharded(const TaskRange* tasks, std::size_t count,
   if (count > 0) {
     pending_.fetch_add(static_cast<std::uint32_t>(count),
                        std::memory_order_relaxed);
-    // Same tagged-segment machinery as run(), but the split is two-level:
-    // node k owns the caller's window [node_task_begin[k],
-    // node_task_begin[k+1]); the node's workers (w = k, k + N, k + 2N, …)
-    // split that window evenly. Stealing still reaches every segment —
-    // the node windows only bias who claims a task first.
-    const auto nodes = static_cast<std::uint64_t>(num_nodes_);
-    for (int w = 0; w < num_workers_; ++w) {
-      const auto node =
-          static_cast<std::size_t>(worker_node_[static_cast<std::size_t>(w)]);
-      const auto lo = static_cast<std::uint64_t>(node_task_begin[node]);
-      const auto hi = static_cast<std::uint64_t>(node_task_begin[node + 1]);
-      const std::uint64_t span = hi - lo;
-      const auto rank = static_cast<std::uint64_t>(w) / nodes;
-      const std::uint64_t members =
-          (static_cast<std::uint64_t>(num_workers_) - node - 1) / nodes + 1;
-      const std::uint64_t beg = lo + span * rank / members;
-      const std::uint64_t end = lo + span * (rank + 1) / members;
+    // Contiguous per-worker segments of the flat task array. Worker w
+    // belongs to window w mod `windows` (its node, since workers are dealt
+    // round-robin over nodes) with rank w / `windows` among that window's
+    // members, and owns its rank's even share of the window. Claims are
+    // CASes on the tagged cursors, so exhausted workers drain other
+    // segments with the same one-CAS operation (= stealing): the windows
+    // only bias who claims a task first.
+    const auto n = static_cast<std::uint64_t>(windows);
+    const auto workers = static_cast<std::uint64_t>(num_workers_);
+    for (std::uint64_t w = 0; w < workers; ++w) {
+      const std::uint64_t k = w % n;
+      const auto lo = static_cast<std::uint64_t>(window_begin[k]);
+      const auto hi = static_cast<std::uint64_t>(window_begin[k + 1]);
+      const std::uint64_t rank = w / n;
+      const std::uint64_t members = (workers - k - 1) / n + 1;
+      const std::uint64_t beg = lo + (hi - lo) * rank / members;
+      const std::uint64_t end = lo + (hi - lo) * (rank + 1) / members;
       Worker& worker = *workers_[static_cast<std::size_t>(w)];
       worker.segment_end.store((static_cast<std::uint64_t>(p) << 32) | end,
                                std::memory_order_relaxed);
@@ -322,18 +292,6 @@ void Executor::run_sharded(const TaskRange* tasks, std::size_t count,
   phase_.store(p, std::memory_order_release);
   if (count > 0) wake_workers();
   wait_idle();
-}
-
-void Executor::submit(TaskRange range) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  const int w = current_worker();
-  if (w >= 0) {
-    workers_[static_cast<std::size_t>(w)]->deque.push(pack(range));
-  } else {
-    // Master thread (the only permitted non-worker submitter).
-    injector_.push(pack(range));
-  }
-  wake_workers();
 }
 
 void Executor::record_task_failure(RunGovernor* gov) {
@@ -408,7 +366,7 @@ int Executor::find_stuck_worker() const {
 void Executor::wake_workers() {
   epoch_.fetch_add(1, std::memory_order_release);
   // libstdc++ tracks waiters per futex word and skips the syscall when no
-  // worker is parked, so this is cheap on the submit-heavy path.
+  // worker is parked.
   epoch_.notify_all();
 }
 
@@ -443,61 +401,31 @@ bool Executor::claim_from_segment(int victim, std::uint32_t tag,
 }
 
 bool Executor::try_claim(int self, TaskRange* out) {
-  // Visibility: this acquire pairs with the release store in run() /
-  // begin_phase(), so a tag-validated claim below implies fn_/ctx_/tasks_
+  // Visibility: this acquire pairs with the release store in
+  // run_windows(), so a tag-validated claim below implies fn_/ctx_/tasks_
   // of that phase are visible.
   const auto p = phase_.load(std::memory_order_acquire);
-  Worker& me = *workers_[static_cast<std::size_t>(self)];
   std::uint32_t index;
   if (claim_from_segment(self, p, &index)) {
     *out = tasks_[index];
     return true;
   }
-  std::uint64_t packed;
-  if (me.deque.pop(&packed)) {
-    *out = unpack(packed);
-    return true;
-  }
   // Hierarchical scan: victim_order_ lists every same-node victim before
   // any remote one, so on a multi-node topology work leaves a node only
-  // once the node is drained. A successful claim past the same-node prefix
-  // is a remote steal AND a remote miss (the whole same-node group — own
-  // segment, own deque, same-node victims — was empty this scan).
+  // once the node is drained — a claim past the same-node prefix is a
+  // remote steal (and, by the same token, a remote miss).
+  Worker& me = *workers_[static_cast<std::size_t>(self)];
   const std::vector<int>& order = victim_order_[static_cast<std::size_t>(self)];
   const std::size_t same = same_node_victims_[static_cast<std::size_t>(self)];
   for (std::size_t i = 0; i < order.size(); ++i) {
     const int victim = order[i];
-    const bool remote = i >= same;
     if (claim_from_segment(victim, p, &index)) {
       me.steals.fetch_add(1, std::memory_order_relaxed);
-      if (remote) {
-        me.steals_remote.fetch_add(1, std::memory_order_relaxed);
-        me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (i >= same) me.steals_remote.fetch_add(1, std::memory_order_relaxed);
       record_steal(self, victim);
       *out = tasks_[index];
       return true;
     }
-    if (workers_[static_cast<std::size_t>(victim)]->deque.steal(&packed)) {
-      me.steals.fetch_add(1, std::memory_order_relaxed);
-      if (remote) {
-        me.steals_remote.fetch_add(1, std::memory_order_relaxed);
-        me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-      }
-      record_steal(self, victim);
-      *out = unpack(packed);
-      return true;
-    }
-  }
-  // Master-submitted ranges are not counted as steals: the injector deque
-  // has no owning worker to steal from. On a multi-node topology the claim
-  // still left the node's group empty-handed, so it counts as a miss.
-  if (injector_.steal(&packed)) {
-    if (num_nodes_ > 1) {
-      me.remote_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    *out = unpack(packed);
-    return true;
   }
   return false;
 }
@@ -595,10 +523,8 @@ void Executor::worker_loop(int index) {
   TaskRange range;
   for (;;) {
     const std::uint32_t seen = epoch_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_relaxed) &&
-        pending_.load(std::memory_order_relaxed) == 0) {
-      // Drain-before-exit: stop_ alone is not enough, submitted work must
-      // finish (parity with the legacy pool's destructor contract).
+    if (stop_.load(std::memory_order_relaxed)) {
+      // The destructor runs between phases: nothing is left to drain.
       flush_idle();
       return;
     }
@@ -643,17 +569,14 @@ ExecutorStats Executor::stats() const {
     const std::uint64_t steals = w->steals.load(std::memory_order_relaxed);
     const std::uint64_t remote =
         w->steals_remote.load(std::memory_order_relaxed);
-    const std::uint64_t misses =
-        w->remote_misses.load(std::memory_order_relaxed);
     s.steals += steals;
     s.steals_remote += remote;
-    s.remote_misses += misses;
     obs::NodeCounters& row = s.per_node[static_cast<std::size_t>(
         worker_node_[static_cast<std::size_t>(index)])];
     row.workers += 1;
     row.steals_same_node += steals - remote;
     row.steals_remote += remote;
-    row.remote_misses += misses;
+    row.remote_misses += remote;
     ++index;
     const double busy =
         static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) *
@@ -669,6 +592,7 @@ ExecutorStats Executor::stats() const {
     first = false;
   }
   s.steals_same_node = s.steals - s.steals_remote;
+  s.remote_misses = s.steals_remote;
   return s;
 }
 

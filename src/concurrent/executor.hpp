@@ -14,17 +14,18 @@
 //     from a per-worker (phase-tagged) cursor. When its segment drains it
 //     claims from neighbors' cursors instead: stealing is the same one-CAS
 //     operation, so load balance costs nothing extra.
-//   * Inline task storage — a task is the POD pair {beg, end} (packed into
-//     one uint64); the per-phase body is installed once as a plain function
-//     pointer + context. The per-task hot path performs zero allocations
-//     and acquires zero mutexes.
-//   * Chase–Lev deques — each worker (plus one injector slot for the master
-//     thread) owns a lock-free deque of packed ranges for dynamically
-//     submitted work: streamed phases, nested submits from inside tasks.
-//     Owner pushes/pops the bottom; thieves CAS the top.
-//   * wait_idle() — an atomic outstanding-task counter; the master parks on
-//     it with a futex wait and is woken by the worker whose decrement
-//     reaches zero.
+//   * Inline task storage — a task is the POD pair {beg, end}; the
+//     per-phase body is installed once as a plain function pointer +
+//     context. The per-task hot path performs zero allocations and acquires
+//     zero mutexes.
+//   * One way to hand out work — every phase is a flat array bundled by
+//     the master before the workers start (the paper's Algorithm 5):
+//     run() splits the array evenly over all workers, run_sharded() splits
+//     each node's window over that node's workers, and both go through
+//     the same segment assignment.
+//   * Phase barrier — an atomic outstanding-task counter; the master parks
+//     on it with a futex wait and is woken by the worker whose decrement
+//     reaches zero, so run() returns only once the phase has drained.
 //
 // Per-worker counters (tasks executed, steals, busy/idle nanoseconds) are
 // accumulated with relaxed atomics and aggregated by stats() at a barrier,
@@ -38,8 +39,8 @@
 // with a deadline or stall timeout additionally arms a dedicated
 // supervisor thread (spawned lazily, ~1ms tick) that polls the deadline
 // and watches the heartbeats for a no-progress stall even while every
-// worker is wedged inside a long task body; the master's wait_idle() stays
-// on the plain futex park either way, so supervision adds no barrier
+// worker is wedged inside a long task body; the master's barrier stays on
+// the plain futex park either way, so supervision adds no barrier
 // latency and no master-side wakeups to the uncancelled path. Without a
 // governor every governed branch is a single null-pointer test on the
 // claim path.
@@ -65,8 +66,8 @@ namespace ppscan {
 
 class RunGovernor;
 
-/// One task: a half-open vertex range. POD, packed into a single uint64 in
-/// every queue so the hot path never allocates.
+/// One task: a half-open vertex range. POD, claimed in place from the
+/// phase's flat array so the hot path never allocates.
 struct TaskRange {
   VertexId beg;
   VertexId end;
@@ -82,18 +83,20 @@ struct ExecutorStats {
   std::uint64_t tasks_skipped = 0;   ///< ranges drained by a cancelled run
   /// Ranges whose body threw: the exception firewall caught it at the task
   /// boundary, classified it (governor → AbortReason::Exception; no
-  /// governor → rethrown from the master's wait_idle), and the worker
+  /// governor → rethrown from run() on the master), and the worker
   /// carried on. Disjoint from tasks_executed.
   std::uint64_t tasks_failed = 0;
-  std::uint64_t steals = 0;          ///< claims taken from another worker
+  /// Claims taken from another worker's segment.
+  std::uint64_t steals = 0;
   /// Steal locality split (steals == steals_same_node + steals_remote; all
   /// steals are same-node on a single-node topology).
   std::uint64_t steals_same_node = 0;
   std::uint64_t steals_remote = 0;
-  /// Claims satisfied outside the thief's node (remote victim or the
-  /// injector) after its whole same-node group — own segment, own deque,
-  /// every same-node victim — came up empty. The locality-miss signal of
-  /// the hierarchical steal order; always zero on a single-node topology.
+  /// Claims satisfied by a remote victim after the thief's whole same-node
+  /// group — own segment, every same-node victim — came up empty. The
+  /// locality-miss signal of the hierarchical steal order; every claim
+  /// outside the own segment is a steal, so this equals steals_remote.
+  /// Always zero on a single-node topology.
   std::uint64_t remote_misses = 0;
   double busy_seconds = 0;           ///< summed in-task time over workers
   double idle_seconds = 0;           ///< summed mid-phase scan/park time
@@ -102,124 +105,6 @@ struct ExecutorStats {
   /// One row per topology node (single row on the uniform topology).
   std::vector<obs::NodeCounters> per_node;
 };
-
-namespace detail {
-
-/// Chase–Lev work-stealing deque of packed uint64 ranges (Chase & Lev,
-/// SPAA'05; memory orderings after Lê et al., PPoPP'13, with the standalone
-/// fences replaced by seq_cst operations on top_/bottom_ so ThreadSanitizer
-/// — which does not model fences — can verify the executor).
-class RangeDeque {
- public:
-  RangeDeque() : array_(new Array(kInitialCapacity)) {}
-  ~RangeDeque() {
-    delete array_.load(std::memory_order_relaxed);
-    for (Array* a : retired_) delete a;
-  }
-  RangeDeque(const RangeDeque&) = delete;
-  RangeDeque& operator=(const RangeDeque&) = delete;
-
-  /// Owner only. Grows (amortized, cold path) when full.
-  void push(std::uint64_t value) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Array* a = array_.load(std::memory_order_relaxed);
-    if (b - t > a->capacity - 1) a = grow(a, b, t);
-    a->put(b, value);
-    bottom_.store(b + 1, std::memory_order_release);
-  }
-
-  /// Owner only.
-  bool pop(std::uint64_t* out) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Array* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    bool taken = false;
-    if (t <= b) {
-      *out = a->get(b);
-      taken = true;
-      if (t == b) {
-        // Last element: race against thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          taken = false;
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return taken;
-  }
-
-  /// Any thread.
-  bool steal(std::uint64_t* out) {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return false;
-    Array* a = array_.load(std::memory_order_acquire);
-    const std::uint64_t value = a->get(t);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return false;  // lost the race; caller retries elsewhere
-    }
-    *out = value;
-    return true;
-  }
-
-  [[nodiscard]] bool maybe_nonempty() const {
-    return top_.load(std::memory_order_relaxed) <
-           bottom_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Array {
-    explicit Array(std::int64_t cap)
-        : capacity(cap),
-          mask(cap - 1),
-          slots(std::make_unique<std::atomic<std::uint64_t>[]>(
-              static_cast<std::size_t>(cap))) {}
-    void put(std::int64_t i, std::uint64_t v) {
-      slots[static_cast<std::size_t>(i & mask)].store(
-          v, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t get(std::int64_t i) const {
-      return slots[static_cast<std::size_t>(i & mask)].load(
-          std::memory_order_relaxed);
-    }
-    std::int64_t capacity;
-    std::int64_t mask;
-    // protocol: relaxed-guarded — slot payloads; ordering is provided by
-    // the release/acquire and seq_cst edges on bottom_/top_/array_.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  };
-
-  Array* grow(Array* old, std::int64_t b, std::int64_t t) {
-    auto* bigger = new Array(old->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
-    // Thieves may still be reading `old`; retire it until destruction
-    // instead of freeing (the memory cost is bounded by 2x the peak size).
-    retired_.push_back(old);
-    array_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  static constexpr std::int64_t kInitialCapacity = 256;  // power of two
-
-  // protocol: chase-lev-top — thief index; claimed by seq_cst CAS,
-  // publisher=thieves+owner(pop tail race), consumers=everyone.
-  std::atomic<std::int64_t> top_{0};
-  // protocol: chase-lev-bottom — owner index; publisher=owner (push release
-  // / pop seq_cst), consumers=thieves (seq_cst load).
-  std::atomic<std::int64_t> bottom_{0};
-  // protocol: release-acquire — grown array pointer; publisher=owner in
-  // grow(), consumers=thieves (acquire in steal), owner reads relaxed.
-  std::atomic<Array*> array_;
-  std::vector<Array*> retired_;  // owner-only, freed in the destructor
-};
-
-}  // namespace detail
 
 class Executor {
  public:
@@ -237,7 +122,8 @@ class Executor {
   /// impossible pin is ignored).
   Executor(int num_threads, const NumaTopology& topology, bool pin_workers);
 
-  /// Drains outstanding work (parity with the legacy pool), then joins.
+  /// Joins the workers. run() returns at a barrier, so no work is ever
+  /// outstanding here.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -245,11 +131,20 @@ class Executor {
 
   [[nodiscard]] int num_threads() const { return num_workers_; }
 
-  /// Fast path: runs `fn(ctx, r.beg, r.end)` for every range in
-  /// [tasks, tasks + count) plus any ranges submitted by the tasks
-  /// themselves, then returns (full barrier). The array must stay alive for
-  /// the duration of the call; it is claimed in place — nothing is copied,
-  /// allocated, or locked per task.
+  /// Runs `fn(ctx, r.beg, r.end)` for every range in [tasks, tasks +
+  /// count), then returns (full barrier); the executor stays reusable for
+  /// the next phase. The array must stay alive for the duration of the
+  /// call; it is claimed in place — nothing is copied, allocated, or locked
+  /// per task.
+  ///
+  /// Exception firewall: a task body that throws never unwinds a worker —
+  /// the worker catches at the task boundary, counts the range as failed,
+  /// and keeps claiming. With a governor installed the exception becomes a
+  /// classified trip (AbortReason::Exception, detail = e.what()) and the
+  /// rest of the phase skip-drains like any other cancellation; without
+  /// one, the FIRST exception is captured and rethrown from run() on the
+  /// master, after every other in-flight task has finished — so sibling
+  /// tasks always complete and the executor stays reusable either way.
   void run(const TaskRange* tasks, std::size_t count, RangeFn fn, void* ctx);
 
   /// Same, with any callable `body(VertexId beg, VertexId end)`.
@@ -302,31 +197,6 @@ class Executor {
     return same_node_victims_[static_cast<std::size_t>(worker)];
   }
 
-  /// Streaming mode: installs the phase body so ranges can be submit()ted
-  /// incrementally (overlapping master-side bundling with execution).
-  /// Terminate the phase with wait_idle(). Must not be called while a
-  /// previous phase is still in flight.
-  void begin_phase(RangeFn fn, void* ctx);
-
-  /// Enqueues one range for the current phase. Callable from the master
-  /// thread (injector deque) or from inside a task (owner deque → enables
-  /// nested parallelism). Never blocks; allocation only on deque growth.
-  void submit(TaskRange range);
-
-  /// Blocks until every outstanding range has finished; futex park, no
-  /// mutex. The executor remains usable afterwards — this is the
-  /// inter-phase barrier.
-  ///
-  /// Exception firewall: a task body that throws never unwinds a worker —
-  /// the worker catches at the task boundary, counts the range as failed,
-  /// and keeps claiming. With a governor installed the exception becomes a
-  /// classified trip (AbortReason::Exception, detail = e.what()) and the
-  /// rest of the phase skip-drains like any other cancellation; without
-  /// one, the FIRST exception is captured and rethrown *here*, on the
-  /// master, after every other in-flight task has finished — so sibling
-  /// tasks always complete and the executor stays reusable either way.
-  void wait_idle();
-
   /// Index of the calling thread if it is a worker of *this* executor,
   /// -1 otherwise (master / foreign threads). Worker-local data structures
   /// (e.g. the phase-7 membership buffers) key on this.
@@ -337,7 +207,7 @@ class Executor {
 
   /// Installs (or clears, with nullptr) the run governor. Master only, at a
   /// barrier — not while a phase is in flight. The governor must outlive
-  /// every subsequent run()/wait_idle() until replaced.
+  /// every subsequent run() until replaced.
   void install_governor(RunGovernor* governor);
   [[nodiscard]] RunGovernor* governor() const {
     return governor_.load(std::memory_order_acquire);
@@ -345,9 +215,9 @@ class Executor {
 
   /// Installs (or clears, with nullptr) the trace collector. Master only,
   /// at a barrier, same lifetime contract as install_governor: the
-  /// collector must outlive every subsequent run()/wait_idle() until
-  /// replaced. Workers record TaskRun/TaskSkip/Steal events into their own
-  /// slot, the supervisor records GovernorTrip into its dedicated slot.
+  /// collector must outlive every subsequent run() until replaced. Workers
+  /// record TaskRun/TaskSkip/Steal events into their own slot, the
+  /// supervisor records GovernorTrip into its dedicated slot.
   /// A no-op (beyond the pointer swap) when tracing is compiled out.
   void install_trace(obs::TraceCollector* trace) {
     trace_.store(trace, std::memory_order_release);
@@ -363,9 +233,10 @@ class Executor {
   /// fine and keeps the armed-but-idle overhead under the 2% target.
   static constexpr std::uint32_t kDeadlinePollStride = 64;
 
-  // One cache line per worker: the phase-tagged claim cursor plus the
-  // owner-written counters. The Chase–Lev deque and the thread handle live
-  // alongside (they have their own internal layout).
+  // Per-worker state: the phase-tagged claim cursor, which thieves load
+  // and CAS, on one cache line; the counters its owner bumps on every task
+  // on the next, so per-task bookkeeping never invalidates the line that
+  // steal scans read.
   struct alignas(64) Worker {
     /// (phase_tag << 32) | next_task_index. Claims CAS the low half up; a
     /// tag mismatch means the slot belongs to another phase and is empty.
@@ -378,8 +249,8 @@ class Executor {
     /// the phase the claimer read.
     /// protocol: relaxed-guarded — same phase-tag protocol as cursor.
     std::atomic<std::uint64_t> segment_end{0};
-    detail::RangeDeque deque;
-    std::atomic<std::uint64_t> executed{0};  // protocol: relaxed-counter
+    // protocol: relaxed-counter
+    alignas(64) std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> skipped{0};   // protocol: relaxed-counter
     /// Task bodies that threw (caught by the exception firewall).
     std::atomic<std::uint64_t> failed{0};    // protocol: relaxed-counter
@@ -393,9 +264,6 @@ class Executor {
     std::atomic<std::uint64_t> steals{0};   // protocol: relaxed-counter
     /// Of `steals`, how many came from a victim on another node.
     std::atomic<std::uint64_t> steals_remote{0};  // protocol: relaxed-counter
-    /// Claims this worker satisfied remotely (remote victim or injector)
-    /// after exhausting its same-node group; see ExecutorStats.
-    std::atomic<std::uint64_t> remote_misses{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> busy_ns{0};  // protocol: relaxed-counter
     std::atomic<std::uint64_t> idle_ns{0};  // protocol: relaxed-counter
     /// Owner-only stride counter for the per-claim deadline poll: the
@@ -406,6 +274,19 @@ class Executor {
     std::thread thread;
   };
 
+  /// The one segment assignment behind run() and run_sharded(): the task
+  /// array is cut into `windows` windows — window k is [window_begin[k],
+  /// window_begin[k + 1]) — and window k is split evenly among workers k,
+  /// k + windows, k + 2·windows, … (with windows == num_nodes_ these are
+  /// exactly node k's workers). Publishes the phase, wakes the workers and
+  /// waits at the barrier.
+  void run_windows(const TaskRange* tasks, std::size_t count,
+                   const std::size_t* window_begin, int windows, RangeFn fn,
+                   void* ctx);
+  /// Blocks until every outstanding range has finished (futex park, no
+  /// mutex), then rethrows the first captured task exception of an
+  /// ungoverned phase. The inter-phase barrier of run().
+  void wait_idle();
   void worker_loop(int index);
   /// Body of the governance supervisor thread: an adaptive tick loop
   /// polling the installed governor's deadline and heartbeat progress.
@@ -414,10 +295,9 @@ class Executor {
   /// armed, and install_governor wakes it whenever a new run's limits
   /// need a finer cadence than the idle one.
   void supervisor_loop();
-  /// Claims one range: own segment, own deque, then every victim in
-  /// victim_order_[self] (segments and deques; all same-node victims come
-  /// first), then the injector. Counts steals — and, past the same-node
-  /// group, the remote split — on `self`.
+  /// Claims one range: own segment, then every victim's segment in
+  /// victim_order_[self] (all same-node victims come first). Counts steals
+  /// — and, past the same-node group, the remote split — on `self`.
   bool try_claim(int self, TaskRange* out);
   /// CAS-claims one task index from `victim`'s segment for phase `tag`.
   bool claim_from_segment(int victim, std::uint32_t tag, std::uint32_t* out);
@@ -447,17 +327,8 @@ class Executor {
   /// — the stall report's culprit once progress has provably stopped.
   [[nodiscard]] int find_stuck_worker() const;
 
-  static std::uint64_t pack(TaskRange r) {
-    return (static_cast<std::uint64_t>(r.beg) << 32) | r.end;
-  }
-  static TaskRange unpack(std::uint64_t v) {
-    return {static_cast<VertexId>(v >> 32),
-            static_cast<VertexId>(v & 0xffffffffu)};
-  }
-
   const int num_workers_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  detail::RangeDeque injector_;  // owned by the master thread
 
   // Topology shape, fixed at construction and read-only afterwards (so
   // workers read it without synchronization): worker→node assignment, the

@@ -135,13 +135,8 @@ AdmissionResult QueryService::admission_gate(Request& request) {
       breaker_state_ = BreakerState::HalfOpen;
       breaker_probe_in_flight_ = false;
       breaker_transitions_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.breaker.half-open", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Breaker,
-                        "serve.breaker.half-open", request.id,
-                        "cooldown elapsed");
-      }
+      note_event(obs::FlightRecorder::EventKind::Breaker,
+                 "serve.breaker.half-open", request.id, "cooldown elapsed");
     }
     if (breaker_state_ == BreakerState::HalfOpen) {
       if (breaker_probe_in_flight_) {
@@ -192,24 +187,16 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
   // Admission-side cache probe: a memoized result answers without touching
   // the queue at all (and cannot be refused — the whole point of caching,
   // so it also bypasses the shed/breaker gate).
-  if (options_.cache_results) {
-    const CacheKey key{params.eps.num, params.eps.den, params.mu};
-    if (auto hit = cache_lookup(key)) {
-      {
-        CheckedLock lock(stats_mutex_);
-        submitted_ += 1;
-        trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
-                           request.id);
-      }
-      Delivery delivery;
-      delivery.run = std::move(hit->run);
-      delivery.cache_hit = true;
-      delivery.num_clusters = hit->num_clusters;
-      delivery.num_cores = hit->num_cores;
-      respond(request, std::move(delivery));
-      *out = std::move(future);
-      return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
+  if (auto hit = cached_delivery(params)) {
+    {
+      CheckedLock lock(stats_mutex_);
+      submitted_ += 1;
+      trace_query_locked(obs::TraceEventKind::SpanBegin, "serve.query",
+                         request.id);
     }
+    respond(request, std::move(*hit));
+    *out = std::move(future);
+    return {AdmissionOutcome::Admitted, std::chrono::milliseconds(0)};
   }
   AdmissionResult gate;
   {
@@ -228,20 +215,12 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
       retries_advised_ += 1;
       if (gate.outcome == AdmissionOutcome::Overloaded) {
         shed_overload_ += 1;
-        PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                  "serve.shed.overload", request.id);
-        if (flight_) {
-          flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                          "serve.shed.overload", request.id);
-        }
+        note_event(obs::FlightRecorder::EventKind::Refusal,
+                   "serve.shed.overload", request.id);
       } else {
         shed_breaker_ += 1;
-        PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                  "serve.shed.breaker", request.id);
-        if (flight_) {
-          flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                          "serve.shed.breaker", request.id);
-        }
+        note_event(obs::FlightRecorder::EventKind::Refusal,
+                   "serve.shed.breaker", request.id);
       }
     }
   }
@@ -255,12 +234,8 @@ AdmissionResult QueryService::try_submit_ex(const ScanParams& params,
     rejected_ += 1;
     shed_queue_full_ += 1;
     retries_advised_ += 1;
-    PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                              "serve.shed.queue-full", request.id);
-    if (flight_) {
-      flight_->record(obs::FlightRecorder::EventKind::Refusal,
-                      "serve.shed.queue-full", request.id);
-    }
+    note_event(obs::FlightRecorder::EventKind::Refusal,
+               "serve.shed.queue-full", request.id);
     if (request.breaker_probe) breaker_probe_in_flight_ = false;
     return {AdmissionOutcome::QueueFull,
             std::chrono::milliseconds(sojourn_ms)};
@@ -288,18 +263,9 @@ std::future<QueryResponse> QueryService::enqueue(Request request) {
                       "serve.admit", request.id);
     }
   }
-  if (options_.cache_results) {
-    const CacheKey key{request.params.eps.num, request.params.eps.den,
-                       request.params.mu};
-    if (auto hit = cache_lookup(key)) {
-      Delivery delivery;
-      delivery.run = std::move(hit->run);
-      delivery.cache_hit = true;
-      delivery.num_clusters = hit->num_clusters;
-      delivery.num_cores = hit->num_cores;
-      respond(request, std::move(delivery));
-      return future;
-    }
+  if (auto hit = cached_delivery(request.params)) {
+    respond(request, std::move(*hit));
+    return future;
   }
   for (;;) {
     const std::uint64_t epoch =
@@ -406,22 +372,14 @@ void QueryService::execute(Request& request,
   const double queue_seconds =
       seconds_between(request.submit_time, exec_start);
   trace_query(obs::TraceEventKind::Mark, "serve.query.execute", request.id);
-  const CacheKey key{request.params.eps.num, request.params.eps.den,
-                     request.params.mu};
-  if (options_.cache_results) {
-    // Second probe: another query may have populated the entry since
-    // admission.
-    if (auto hit = cache_lookup(key)) {
-      Delivery delivery;
-      delivery.run = std::move(hit->run);
-      delivery.cache_hit = true;
-      delivery.queue_seconds = queue_seconds;
-      delivery.num_clusters = hit->num_clusters;
-      delivery.num_cores = hit->num_cores;
-      respond(request, std::move(delivery));
-      return;
-    }
+  // Second probe: another query may have populated the entry since
+  // admission.
+  if (auto hit = cached_delivery(request.params)) {
+    hit->queue_seconds = queue_seconds;
+    respond(request, std::move(*hit));
+    return;
   }
+  const CacheKey key = cache_key(request.params);
 
   RunLimits limits = request.limits;
   bool admission_expired = false;
@@ -524,22 +482,13 @@ void QueryService::respond(Request& request, Delivery delivery) {
     if (response.run->partial()) partial_ += 1;
     if (delivery.degraded) {
       degraded_hits_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.degraded", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Degraded,
-                        "serve.degraded", request.id);
-      }
+      note_event(obs::FlightRecorder::EventKind::Degraded, "serve.degraded",
+                 request.id);
     }
     if (delivery.classified == AbortReason::Exception) {
       exceptions_ += 1;
-      PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                "serve.exception", request.id);
-      if (flight_) {
-        flight_->record(obs::FlightRecorder::EventKind::Exception,
-                        "serve.exception", request.id,
-                        response.run->stats.abort_detail.c_str());
-      }
+      note_event(obs::FlightRecorder::EventKind::Exception, "serve.exception",
+                 request.id, response.run->stats.abort_detail.c_str());
     }
     if (!delivery.cache_hit) counters_ += response.run->stats.counters;
     // Circuit-breaker feedback: only executed (non-cache-hit) outcomes
@@ -566,16 +515,9 @@ void QueryService::respond(Request& request, Delivery delivery) {
           breaker_consecutive_failures_ = 0;
           breaker_transitions_ += 1;
           breaker_opened_now = failed;
-          PPSCAN_TRACE_MASTER_EVENT(
-              options_.trace, obs::TraceEventKind::Mark,
-              failed ? "serve.breaker.open" : "serve.breaker.closed",
-              request.id);
-          if (flight_) {
-            flight_->record(
-                obs::FlightRecorder::EventKind::Breaker,
-                failed ? "serve.breaker.open" : "serve.breaker.closed",
-                request.id, "probe");
-          }
+          note_event(obs::FlightRecorder::EventKind::Breaker,
+                     failed ? "serve.breaker.open" : "serve.breaker.closed",
+                     request.id, "probe");
         }
       } else if (failed) {
         breaker_consecutive_failures_ += 1;
@@ -586,13 +528,8 @@ void QueryService::respond(Request& request, Delivery delivery) {
           breaker_opened_at_ = std::chrono::steady_clock::now();
           breaker_transitions_ += 1;
           breaker_opened_now = true;
-          PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::Mark,
-                                    "serve.breaker.open", request.id);
-          if (flight_) {
-            flight_->record(obs::FlightRecorder::EventKind::Breaker,
-                            "serve.breaker.open", request.id,
-                            "failure streak");
-          }
+          note_event(obs::FlightRecorder::EventKind::Breaker,
+                     "serve.breaker.open", request.id, "failure streak");
         }
       } else {
         breaker_consecutive_failures_ = 0;
@@ -631,6 +568,19 @@ void QueryService::respond(Request& request, Delivery delivery) {
   request.responded = true;
   // Fulfill outside the lock: the waiting thread may run immediately.
   request.promise.set_value(std::move(response));
+}
+
+std::optional<QueryService::Delivery> QueryService::cached_delivery(
+    const ScanParams& params) {
+  if (!options_.cache_results) return std::nullopt;
+  auto hit = cache_lookup(cache_key(params));
+  if (!hit.has_value()) return std::nullopt;
+  Delivery delivery;
+  delivery.run = std::move(hit->run);
+  delivery.cache_hit = true;
+  delivery.num_clusters = hit->num_clusters;
+  delivery.num_cores = hit->num_cores;
+  return delivery;
 }
 
 std::optional<QueryService::CachedResult> QueryService::cache_lookup(
@@ -801,6 +751,13 @@ void QueryService::trace_query_locked(obs::TraceEventKind kind,
   (void)name;
   (void)id;
 #endif
+}
+
+void QueryService::note_event(obs::FlightRecorder::EventKind kind,
+                              const char* name, std::uint64_t id,
+                              const char* detail) {
+  trace_query_locked(obs::TraceEventKind::Mark, name, id);
+  if (flight_) flight_->record(kind, name, id, detail);
 }
 
 void QueryService::trace_query(obs::TraceEventKind kind, const char* name,

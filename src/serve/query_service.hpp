@@ -348,6 +348,9 @@ class QueryService {
     std::uint32_t mu;
     bool operator==(const CacheKey&) const = default;
   };
+  static CacheKey cache_key(const ScanParams& params) {
+    return {params.eps.num, params.eps.den, params.mu};
+  }
   struct CacheKeyHash {
     std::size_t operator()(const CacheKey& k) const {
       std::uint64_t h = k.num * 0x9e3779b97f4a7c15ULL;
@@ -395,6 +398,10 @@ class QueryService {
   /// immediately).
   void respond(Request& request, Delivery delivery)
       PPSCAN_EXCLUDES(stats_mutex_);
+  /// A cache-hit Delivery for `params` (run + counts, cache_hit set);
+  /// nullopt on a miss or with caching disabled.
+  std::optional<Delivery> cached_delivery(const ScanParams& params)
+      PPSCAN_EXCLUDES(cache_mutex_);
   std::optional<CachedResult> cache_lookup(const CacheKey& key)
       PPSCAN_EXCLUDES(cache_mutex_);
   void cache_store(const CacheKey& key, CachedResult value)
@@ -441,6 +448,12 @@ class QueryService {
                           std::uint64_t id) PPSCAN_REQUIRES(stats_mutex_);
   void trace_query(obs::TraceEventKind kind, const char* name,
                    std::uint64_t id) PPSCAN_EXCLUDES(stats_mutex_);
+  /// One serving event (shed, breaker transition, degraded, exception):
+  /// a trace Mark in the master slot plus a flight-recorder entry of
+  /// `kind`, both named `name`.
+  void note_event(obs::FlightRecorder::EventKind kind, const char* name,
+                  std::uint64_t id, const char* detail = "")
+      PPSCAN_REQUIRES(stats_mutex_);
 
   const GsIndex& index_;
   const ServiceOptions options_;

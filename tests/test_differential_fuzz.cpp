@@ -3,11 +3,16 @@
 // directly and through a QueryService), and permutation-equivariance — all
 // checked against the brute-force oracle in one loop. Catches interaction
 // bugs the per-module suites cannot (e.g. a kernel edge case that only
-// appears with a particular pruning state).
+// appears with a particular pruning state). A second loop drives
+// DynamicScan through random insert/delete streams on the same kind of
+// graphs and parameters, checking it against the oracle after every batch.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "bench_support/algorithms.hpp"
 #include "core/ppscan.hpp"
+#include "dynamic/dynamic_scan.hpp"
 #include "graph/generators.hpp"
 #include "index/gs_index.hpp"
 #include "scan/relabel.hpp"
@@ -129,6 +134,55 @@ TEST(DifferentialFuzz, AllImplementationsAgreeWithTheOracle) {
         map_result_to_original(relabeled_run.result, relabeling);
     ASSERT_TRUE(results_equivalent(expected, mapped))
         << "relabeled ppSCAN @ " << context;
+  }
+}
+
+TEST(DifferentialFuzz, DynamicScanTracksTheOracleUnderUpdateStreams) {
+  Rng rng(0xd1a5ca);
+  constexpr int kRounds = 120;
+  constexpr int kBatches = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto graph = random_graph(rng);
+    auto params = random_params(rng);
+    // Pin the µ extremes on a fixed cadence: µ = 0 (every vertex is a
+    // core, including isolated ones) and µ above the maximum degree (no
+    // vertex starts as a core; insertions may promote some).
+    VertexId max_degree = 0;
+    for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+      max_degree = std::max(max_degree, graph.degree(u));
+    }
+    if (round % 4 == 1) params.mu = 0;
+    if (round % 4 == 2) {
+      params.mu =
+          max_degree + 1 + static_cast<std::uint32_t>(rng.next_below(3));
+    }
+    DynamicScan dynamic(graph, params);
+    for (int batch = 0; batch < kBatches; ++batch) {
+      const std::uint64_t updates = 1 + rng.next_below(24);
+      for (std::uint64_t i = 0; i < updates; ++i) {
+        const VertexId n = dynamic.num_vertices();
+        const VertexId u = static_cast<VertexId>(rng.next_below(n));
+        if (rng.next_below(2) == 0 && dynamic.degree(u) > 0) {
+          const VertexId v = dynamic.neighbor_at(
+              u, static_cast<VertexId>(rng.next_below(dynamic.degree(u))));
+          ASSERT_TRUE(dynamic.remove_edge(u, v));
+        } else {
+          // Now and then an endpoint one past the vertex range, which
+          // grows the vertex set.
+          const VertexId v =
+              static_cast<VertexId>(rng.next_below(n + (i % 8 == 0 ? 1 : 0)));
+          dynamic.insert_edge(u, v);  // false on a self loop or duplicate
+        }
+      }
+      const auto current = dynamic.snapshot();
+      const auto expected = testing::reference_scan(current, params);
+      ASSERT_TRUE(results_equivalent(expected, dynamic.result()))
+          << "round " << round << " batch " << batch
+          << " |V|=" << current.num_vertices()
+          << " |E|=" << current.num_edges() << " eps=" << params.eps.num
+          << "/" << params.eps.den << " mu=" << params.mu << ": "
+          << describe_result_difference(expected, dynamic.result());
+    }
   }
 }
 

@@ -94,26 +94,36 @@ TEST(ExecutorNuma, SameNodeVictimsPrecedeRemoteOnes) {
 
 TEST(ExecutorNuma, ShardedRunCoversEveryRangeExactlyOnce) {
   constexpr VertexId n = 20000;
-  Executor executor(4, two_nodes(), /*pin_workers=*/false);
-  ASSERT_EQ(executor.num_nodes(), 2);
-  std::vector<std::atomic<int>> visited(n);
-  for (auto& v : visited) v.store(0);
   const auto tasks = unit_ranges(n);
-  // Deliberately unbalanced shards: node 0 owns 3/4 of the tasks, so
-  // node 1's workers must steal (mostly remotely) to finish the phase.
-  const std::size_t node_task_begin[] = {0, (3 * tasks.size()) / 4,
-                                         tasks.size()};
-  executor.run_sharded(tasks.data(), tasks.size(), node_task_begin,
-                       [&](VertexId beg, VertexId end) {
-                         for (VertexId u = beg; u < end; ++u) {
-                           visited[u].fetch_add(1);
-                         }
-                       });
-  for (VertexId u = 0; u < n; ++u) {
-    ASSERT_EQ(visited[u].load(), 1) << "vertex " << u;
+  struct Case {
+    const char* name;
+    int threads;
+    std::size_t split;  // node 0 owns [0, split), node 1 [split, n)
+  };
+  // Deliberately unbalanced shards (node 0 owns 3/4 of the tasks, so node
+  // 1's workers must steal, mostly remotely), an empty node-0 window, and
+  // unequal node membership (3 workers: node 0 has two, node 1 one).
+  const Case cases[] = {{"3/4 split", 4, (3 * tasks.size()) / 4},
+                        {"empty node window", 4, 0},
+                        {"3 workers on 2 nodes", 3, tasks.size() / 3}};
+  for (const Case& c : cases) {
+    Executor executor(c.threads, two_nodes(), /*pin_workers=*/false);
+    ASSERT_EQ(executor.num_nodes(), 2) << c.name;
+    std::vector<std::atomic<int>> visited(n);
+    for (auto& v : visited) v.store(0);
+    const std::size_t node_task_begin[] = {0, c.split, tasks.size()};
+    executor.run_sharded(tasks.data(), tasks.size(), node_task_begin,
+                         [&](VertexId beg, VertexId end) {
+                           for (VertexId u = beg; u < end; ++u) {
+                             visited[u].fetch_add(1);
+                           }
+                         });
+    for (VertexId u = 0; u < n; ++u) {
+      ASSERT_EQ(visited[u].load(), 1) << c.name << ": vertex " << u;
+    }
+    EXPECT_EQ(executor.stats().tasks_executed, static_cast<std::uint64_t>(n))
+        << c.name;
   }
-  const ExecutorStats stats = executor.stats();
-  EXPECT_EQ(stats.tasks_executed, static_cast<std::uint64_t>(n));
 }
 
 TEST(ExecutorNuma, StealCountersSplitConsistently) {

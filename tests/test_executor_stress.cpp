@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "concurrent/topology.hpp"
+
 namespace ppscan {
 namespace {
 
@@ -32,72 +34,37 @@ TEST(ExecutorStress, ManyTinyTasksAcrossManyPhases) {
             static_cast<std::uint64_t>(kPhases) * kTasks);
 }
 
-TEST(ExecutorStress, WaitIdleReuseWithStreamingSubmits) {
-  Executor executor(4);
-  constexpr int kPhases = 200;
-  constexpr VertexId kTasks = 64;
-  std::atomic<std::uint64_t> executed{0};
-  auto body = [&](VertexId, VertexId) { executed.fetch_add(1); };
-  using B = decltype(body);
-  for (int p = 0; p < kPhases; ++p) {
-    executor.begin_phase(
-        [](void* ctx, VertexId beg, VertexId end) {
-          (*static_cast<B*>(ctx))(beg, end);
-        },
-        &body);
-    for (VertexId u = 0; u < kTasks; ++u) executor.submit({u, u + 1});
-    executor.wait_idle();
-    ASSERT_EQ(executed.load(),
-              static_cast<std::uint64_t>(p + 1) * kTasks);
-  }
-}
-
-TEST(ExecutorStress, AlternatingFlatAndStreamingPhases) {
-  // Flat-array claiming and deque submits share phase/pending state; making
-  // them alternate catches cross-phase tag bugs (a stale segment cursor
-  // must never validate against a later phase's state).
-  Executor executor(4);
+TEST(ExecutorStress, AlternatingFlatAndShardedPhases) {
+  // run() and run_sharded() share the tagged cursors but segment the array
+  // differently (one window over all workers vs one window per node, with
+  // the node split moving every round); alternating them catches
+  // cross-phase tag bugs — a stale segment cursor must never validate
+  // against a later phase's segmentation.
+  Executor executor(4, emulated_topology(2, {0, 1, 2, 3}),
+                    /*pin_workers=*/false);
+  ASSERT_EQ(executor.num_nodes(), 2);
   constexpr int kRounds = 150;
   constexpr VertexId kTasks = 96;
   std::vector<TaskRange> tasks;
   for (VertexId i = 0; i < kTasks; ++i) tasks.push_back({i, i + 1});
-  std::atomic<std::uint64_t> executed{0};
-  auto body = [&](VertexId, VertexId) { executed.fetch_add(1); };
-  using B = decltype(body);
-  const RangeFn trampoline = [](void* ctx, VertexId beg, VertexId end) {
-    (*static_cast<B*>(ctx))(beg, end);
-  };
-  for (int r = 0; r < kRounds; ++r) {
-    executor.run(tasks.data(), tasks.size(), trampoline, &body);
-    executor.begin_phase(trampoline, &body);
-    for (VertexId u = 0; u < kTasks; ++u) executor.submit({u, u + 1});
-    executor.wait_idle();
-    ASSERT_EQ(executed.load(),
-              static_cast<std::uint64_t>(r + 1) * kTasks * 2);
-  }
-}
-
-TEST(ExecutorStress, NestedSubmitFanOut) {
-  // Each seed task fans out into unit submits from inside workers,
-  // exercising concurrent owner-push/thief-steal on the Chase-Lev deques.
-  Executor executor(4);
-  constexpr int kRounds = 50;
-  constexpr VertexId kLeaves = 512;
-  std::atomic<std::uint64_t> leaves{0};
-  auto body = [&](VertexId beg, VertexId end) {
-    if (end - beg > 1) {
-      const VertexId mid = beg + (end - beg) / 2;
-      executor.submit({beg, mid});
-      executor.submit({mid, end});
-      return;
+  std::vector<std::atomic<std::uint8_t>> visited(kTasks);
+  auto body = [&](VertexId beg, VertexId) { visited[beg].fetch_add(1); };
+  const auto expect_each_once = [&](int r, const char* mode) {
+    for (VertexId i = 0; i < kTasks; ++i) {
+      ASSERT_EQ(visited[i].exchange(0), 1)
+          << mode << " round " << r << " task " << i;
     }
-    leaves.fetch_add(1);
   };
   for (int r = 0; r < kRounds; ++r) {
-    const TaskRange root{0, kLeaves};
-    executor.run(&root, 1, body);
-    ASSERT_EQ(leaves.load(), static_cast<std::uint64_t>(r + 1) * kLeaves);
+    executor.run(tasks.data(), tasks.size(), body);
+    expect_each_once(r, "flat");
+    const std::size_t split = static_cast<std::size_t>(r) % (kTasks + 1);
+    const std::size_t node_task_begin[] = {0, split, tasks.size()};
+    executor.run_sharded(tasks.data(), tasks.size(), node_task_begin, body);
+    expect_each_once(r, "sharded");
   }
+  EXPECT_EQ(executor.stats().tasks_executed,
+            static_cast<std::uint64_t>(kRounds) * kTasks * 2);
 }
 
 TEST(ExecutorStress, SteadyStealPressure) {

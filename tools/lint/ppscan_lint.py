@@ -14,6 +14,9 @@ bug in another. This linter encodes those invariants:
                       atomics_protocol.toml).
   protocol-unknown    the annotation names a discipline the config does not
                       define.
+  protocol-unused     the config defines a discipline that no annotation in
+                      the configured paths names (a leftover of deleted
+                      code keeps its allowed orders looking load-bearing).
   protocol-order      a load/store/RMW/CAS/wait call site on an annotated
                       member uses a memory_order outside the discipline's
                       allowed set (the implicit default — seq_cst for
@@ -215,10 +218,12 @@ class Discipline:
     allowed: dict[str, set[str]]  # op-kind -> allowed orders
     cas_failure: set[str]
     dynamic: bool  # allow non-literal (forwarded) order arguments
+    line: int  # line of the [disciplines.<name>] table in the config
 
 
 @dataclasses.dataclass
 class Config:
+    path: pathlib.Path  # the TOML file, for findings about the config itself
     disciplines: dict[str, Discipline]
     protocol_paths: list[str]
     exclude_paths: list[str]
@@ -232,9 +237,14 @@ class Config:
 
 def load_config(path: pathlib.Path) -> Config:
     try:
-        data = tomllib.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        data = tomllib.loads(text)
     except (OSError, tomllib.TOMLDecodeError) as exc:
         raise SystemExit(f"ppscan_lint: cannot read config {path}: {exc}")
+    table_lines = {
+        m.group(1): text.count("\n", 0, m.start()) + 1
+        for m in re.finditer(r"^\[disciplines\.([A-Za-z0-9_\-]+)\]", text,
+                             re.MULTILINE)}
 
     disciplines: dict[str, Discipline] = {}
     for name, spec in data.get("disciplines", {}).items():
@@ -254,11 +264,13 @@ def load_config(path: pathlib.Path) -> Config:
             allowed=allowed,
             cas_failure=cas_failure,
             dynamic=bool(spec.get("dynamic", False)),
+            line=table_lines.get(name, 1),
         )
     protocol = data.get("protocol", {})
     narrowing = data.get("narrowing", {})
     trace = data.get("trace", {})
     return Config(
+        path=path,
         disciplines=disciplines,
         protocol_paths=protocol.get("paths", ["src/"]),
         exclude_paths=data.get("exclude_paths", []),
@@ -622,6 +634,26 @@ def check_required_asserts(sources: dict[str, SourceFile],
                 f"'{fn}' must assert its order constraint "
                 f"(pattern /{req['pattern']}/): {req.get('reason', '')}"))
     return findings
+
+
+# --------------------------------------------------------------------------
+# Config tightness: every discipline is in use
+# --------------------------------------------------------------------------
+
+
+def check_unused_disciplines(decls: list[AtomicDecl], cfg: Config,
+                             root: pathlib.Path) -> list[Finding]:
+    named = {d.discipline for d in decls}
+    try:
+        config = str(cfg.path.resolve().relative_to(root))
+    except ValueError:
+        config = str(cfg.path)
+    return [Finding(config, disc.line, "protocol-unused",
+                    f"discipline '{name}' is named by no `// protocol:` "
+                    "annotation; delete it (and its docs row) or annotate "
+                    "the member it describes")
+            for name, disc in sorted(cfg.disciplines.items())
+            if name not in named]
 
 
 # --------------------------------------------------------------------------
@@ -1230,6 +1262,7 @@ def run_lint(cfg: Config, root: pathlib.Path,
         findings.extend(check_narrowing(src, cfg))
         findings.extend(check_trace_hotpath(src, cfg))
     findings.extend(check_required_asserts(sources, cfg))
+    findings.extend(check_unused_disciplines(decls, cfg, root))
     if check_docs_table:
         findings.extend(check_docs(decls, cfg, root))
     if lock_cfg is not None:

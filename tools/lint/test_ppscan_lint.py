@@ -28,10 +28,16 @@ sys.modules["ppscan_lint"] = ppscan_lint
 spec.loader.exec_module(ppscan_lint)
 
 
-def scoped_config(paths, *, docs_file=None, required_asserts=()):
-    """The shipped config with every rule's scope rewritten to `paths`."""
-    cfg = ppscan_lint.load_config(LINT_DIR / "atomics_protocol.toml")
+def scoped_config(paths, *, docs_file=None, required_asserts=(),
+                  config=LINT_DIR / "atomics_protocol.toml", disciplines=None):
+    """The shipped config (or `config`) with every rule's scope rewritten to
+    `paths`, keeping only the named `disciplines` when given."""
+    cfg = ppscan_lint.load_config(config)
     banned = [dict(rule, paths=list(paths)) for rule in cfg.banned]
+    if disciplines is not None:
+        cfg = dataclasses.replace(cfg, disciplines={
+            name: d for name, d in cfg.disciplines.items()
+            if name in disciplines})
     return dataclasses.replace(
         cfg,
         protocol_paths=list(paths),
@@ -56,7 +62,11 @@ def rules_in(findings, path_suffix):
 
 class KnownGoodTest(unittest.TestCase):
     def test_good_tree_is_silent(self):
+        # Only the disciplines the good tree annotates: the rest of the
+        # shipped set is (correctly) unused there and would trip
+        # protocol-unused.
         findings = lint([GOOD], docs_file=f"{GOOD}/docs_table.md",
+                        disciplines={"relaxed-counter", "release-acquire"},
                         required_asserts=[{
                             "file": f"{GOOD}/has_assert.cpp",
                             "function": "mirror_arc",
@@ -124,6 +134,18 @@ class KnownBadTest(unittest.TestCase):
         }])
         self.assertIn("order-assert",
                       rules_in(findings, "missing_assert.cpp"))
+
+    def test_protocol_unused_fires_for_orphaned_discipline(self):
+        findings = lint([GOOD],
+                        config=REPO_ROOT / BAD / "unused_discipline.toml")
+        hits = [f for f in findings if f.rule == "protocol-unused"]
+        self.assertEqual(1, len(hits), "\n".join(str(f) for f in hits))
+        self.assertTrue(hits[0].path.endswith("unused_discipline.toml"))
+        self.assertIn("'orphaned-order'", hits[0].message)
+        table = (REPO_ROOT / BAD / "unused_discipline.toml").read_text(
+            encoding="utf-8").splitlines()
+        self.assertEqual("[disciplines.orphaned-order]",
+                         table[hits[0].line - 1])
 
     def test_protocol_docs_fires_when_member_undocumented(self):
         # Point the docs check at a table that lacks the bad tree's members.
