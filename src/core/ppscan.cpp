@@ -1,7 +1,6 @@
 #include "core/ppscan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <memory>
 
@@ -57,19 +56,26 @@ class PpScanRunner {
     }
     // Charge the state arrays against the memory budget before allocating;
     // on overshoot (or a real bad_alloc) the run aborts before any phase
-    // and returns the all-Unknown partial result.
+    // and returns the all-Unknown partial result. The Auto kernel adds one
+    // marked-neighborhood bitmap per worker slot.
     const VertexId n = graph.num_vertices();
+    const std::size_t slots = static_cast<std::size_t>(options.num_threads) + 1;
+    const bool marked = options.kernel == IntersectKind::Auto;
     const std::uint64_t state_bytes =
         static_cast<std::uint64_t>(graph.num_arcs()) * sizeof(std::int32_t) +
         static_cast<std::uint64_t>(n) *
-            (2 * sizeof(std::uint8_t) + 2 * sizeof(VertexId));
+            (2 * sizeof(std::uint8_t) + 2 * sizeof(VertexId)) +
+        (marked ? slots * NeighborMarks::bytes_for(n) : 0);
     alloc_ok_ = governor_.try_charge(state_bytes, "ppscan state arrays");
     if (alloc_ok_) {
       try {
-        sim_.assign(graph.num_arcs(), kSimUncached);
+        // PruneSim stores every arc, so its parallel stores are the first
+        // touch of sim_ (no phase reads sim_ after a cancelled PruneSim).
+        sim_.assign_for_overwrite(graph.num_arcs());
         roles_.assign(n, static_cast<std::uint8_t>(Role::Unknown));
         cluster_id_.assign(n, kInvalidVertex);
         uf_.reset(n);
+        if (marked) marks_.assign(slots, NeighborMarks(n));
       } catch (const std::bad_alloc&) {
         governor_.record_alloc_failure(state_bytes, "ppscan state arrays");
         alloc_ok_ = false;
@@ -78,18 +84,19 @@ class PpScanRunner {
     // One membership buffer per worker plus a trailing slot for the master
     // (serial fallbacks) — the OpenMP policy's thread ids also land in
     // [0, num_threads). Padded so concurrent appends never share a line.
-    membership_slots_.resize(
-        static_cast<std::size_t>(options.num_threads) + 1);
+    membership_slots_.resize(slots);
   }
 
   ScanRun run() {
     WallTimer total;
     // One KernelDispatch event per run: the kernels themselves are the
     // innermost loops and must stay trace-free (the trace-hotpath lint
-    // rule), so the resolved kind is recorded here, once.
+    // rule), so the kind is recorded here, once: Auto for the marked
+    // probe, else the resolved sorted-list kernel.
     PPSCAN_TRACE_MASTER_EVENT(options_.trace, obs::TraceEventKind::KernelDispatch,
                               "kernel-dispatch",
-                              resolve_kernel(options_.kernel));
+                              marks_.empty() ? resolve_kernel(options_.kernel)
+                                             : IntersectKind::Auto);
     // NUMA detection degrades, never errors: when Auto fell back to the
     // uniform single-node shape, one Mark records that the run is
     // effectively numa=off (the reason string lives in NumaTopology).
@@ -133,12 +140,11 @@ class PpScanRunner {
     }
     ScanRun run = assemble_result();
     run.stats = stats_;
-    run.stats.compsim_invocations =
-        invocations_.load(std::memory_order_relaxed);
     // The slot merge happens after every phase barrier (and after the
     // serial fallbacks returned), which is the happens-before edge the
     // plain per-worker counters need.
     run.stats.counters = counters_.merged();
+    run.stats.compsim_invocations = run.stats.counters.sims_computed;
     record_executor(*exec_, run.stats);
     if (options_.scheduler.kind == SchedulerKind::OmpDynamic) {
       run.stats.runtime_kind = "openmp";
@@ -241,12 +247,17 @@ class PpScanRunner {
   }
 
   /// Computes one undecided arc with the configured kernel and mirrors the
-  /// flag onto the reverse arc (similarity-value reuse). Returns Sim?
+  /// flag onto the reverse arc (similarity-value reuse). Returns Sim? The
+  /// Auto kernel probes N(v) against the slot's marks of N(u): every caller
+  /// runs a vertex task's pairs for one u on one slot.
   bool compute_arc(VertexId u, EdgeId e, std::uint32_t min_cn) {
     const VertexId v = graph_.dst()[e];
-    invocations_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t slot = worker_slot();
     const bool sim =
-        kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn);
+        marks_.empty()
+            ? kernel_(graph_.neighbors(u), graph_.neighbors(v), min_cn)
+            : similar_marked(marks_[slot], u, graph_.neighbors(u),
+                             graph_.neighbors(v), min_cn);
     const std::int32_t flag = sim ? kSimFlag : kNSimFlag;
     sim_.store(e, flag);
     sim_.store(reverse_index_.empty() ? graph_.reverse_arc(u, e)
@@ -254,7 +265,7 @@ class PpScanRunner {
                flag);
     // One intersection decided two directed arcs: the computed one and the
     // mirrored reverse (the u < v reuse the funnel singles out).
-    obs::AlgoCounters& c = counters_.slot(worker_slot());
+    obs::AlgoCounters& c = counters_.slot(slot);
     c.arcs_touched += 2;
     c.sims_computed += 1;
     c.sims_reused += 1;
@@ -540,11 +551,12 @@ class PpScanRunner {
   AtomicArray<VertexId> cluster_id_;
   std::vector<MembershipSlot> membership_slots_;
   std::vector<std::pair<VertexId, VertexId>> memberships_;
-  // protocol: relaxed-counter — CompSim invocation tally (Figure 4).
-  std::atomic<std::uint64_t> invocations_{0};
   // Per-worker pruning-funnel slots (same slot layout as
   // membership_slots_); merged into RunStats::counters at the end.
   obs::CounterSlots counters_;
+  // Auto kernel only: one marked neighbor list per worker slot (same
+  // layout), each written only by the thread that owns the slot.
+  std::vector<NeighborMarks> marks_;
   RunStats stats_;
 };
 

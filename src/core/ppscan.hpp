@@ -37,8 +37,10 @@ namespace ppscan {
 
 struct PpScanOptions {
   int num_threads = 1;
-  /// Set-intersection kernel. Auto = best the CPU supports (paper's ppSCAN);
-  /// MergeEarlyStop reproduces the paper's "ppSCAN-NO" configuration.
+  /// Set-intersection kernel. Auto probes N(v) against a per-worker bitmap
+  /// of N(u) (similar_marked, AVX-512 where supported; galloping on heavy
+  /// degree skew); the explicit kinds run the paper's sorted-list kernels,
+  /// and MergeEarlyStop reproduces its "ppSCAN-NO" configuration.
   IntersectKind kernel = IntersectKind::Auto;
   SchedulerOptions scheduler;
 

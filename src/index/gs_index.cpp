@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <span>
 #include <stdexcept>
@@ -232,9 +231,9 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   SchedulerOptions sched;
   sched.governor = &governor;
   const CountFn count = count_fn(options.count_kernel);
-  // protocol: relaxed-counter — intersection tally, read at the final
-  // barrier after the executor drains.
-  std::atomic<std::uint64_t> intersections{0};
+  // The Auto count probes each worker slot's marks of N(u).
+  std::vector<NeighborMarks> marks;
+  std::uint64_t marks_bytes = 0;
   const auto degree_of = [&](VertexId u) { return graph_.degree(u); };
   const auto all = [](VertexId) { return true; };
 
@@ -256,20 +255,32 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
     // Exhaustive similarity: the u < v owner computes each edge once and
     // mirrors the overlap to the reverse arc (no readers until the barrier).
     phase("Overlap", [&] {
+      if (options.count_kernel == IntersectKind::Auto) {
+        marks_bytes = counters.size() *
+                      NeighborMarks::bytes_for(graph_.num_vertices());
+        if (!governor.try_charge(marks_bytes, "gs-index neighbor marks")) {
+          marks_bytes = 0;
+          return;
+        }
+        marks.assign(counters.size(), NeighborMarks(graph_.num_vertices()));
+      }
       schedule_vertex_tasks(
           pool, graph_.num_vertices(), degree_of, all,
           [&](VertexId u) {
-            std::uint64_t local = 0;
             const int w = pool.current_worker();
-            obs::AlgoCounters& c = counters.slot(
-                w >= 0 ? static_cast<std::size_t>(w) : counters.size() - 1);
+            const std::size_t slot =
+                w >= 0 ? static_cast<std::size_t>(w) : counters.size() - 1;
+            obs::AlgoCounters& c = counters.slot(slot);
             for (EdgeId e = graph_.offset_begin(u); e < graph_.offset_end(u);
                  ++e) {
               const VertexId v = graph_.dst()[e];
               if (u >= v) continue;
+              const Neighbors nu = graph_.neighbors(u);
+              const Neighbors nv = graph_.neighbors(v);
               const auto cn = static_cast<std::uint32_t>(
-                  count(graph_.neighbors(u), graph_.neighbors(v)) + 2);
-              ++local;
+                  (marks.empty() ? count(nu, nv)
+                                 : count_marked(marks[slot], u, nu, nv)) +
+                  2);
               overlap_[e] = cn;
               overlap_[graph_.reverse_arc(u, e)] = cn;
               // Exhaustive build: one intersection per u < v edge decides
@@ -278,10 +289,11 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
               c.sims_computed += 1;
               c.sims_reused += 1;
             }
-            intersections.fetch_add(local, std::memory_order_relaxed);
           },
           sched);
     });
+    marks = std::vector<NeighborMarks>();
+    governor.uncharge(marks_bytes);
 
     // Neighbor order: per-vertex arc slots sorted by σ descending, then
     // flattened into the (dst, cn, degree) query arrays so prefix walks
@@ -375,7 +387,7 @@ GsIndex::GsIndex(const CsrGraph& graph, const BuildOptions& options)
   complete_ = alloc_ok && !governor.should_stop();
   // Phase barriers ordered every worker's slot writes before this merge.
   build_stats_.counters = counters.merged();
-  build_stats_.intersections = intersections.load(std::memory_order_relaxed);
+  build_stats_.intersections = build_stats_.counters.sims_computed;
   build_stats_.construction_seconds = timer.elapsed_s();
   build_stats_.abort = governor.abort_info();
 }

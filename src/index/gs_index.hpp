@@ -44,7 +44,9 @@ class GsIndex {
  public:
   struct BuildOptions {
     int num_threads = 1;
-    /// Exact-count kernel used for the exhaustive construction pass.
+    /// Exact-count kernel used for the exhaustive construction pass. Auto
+    /// probes each neighbor list against a per-worker bitmap of N(u)
+    /// (count_marked); the explicit kinds run their sorted-list counts.
     IntersectKind count_kernel = IntersectKind::Auto;
     /// Run governance for the construction pass (the paper's argument
     /// against indexing is exactly that this pass is expensive — a deadline

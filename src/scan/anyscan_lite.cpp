@@ -1,7 +1,6 @@
 #include "scan/anyscan_lite.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "concurrent/task_scheduler.hpp"
 #include "concurrent/executor.hpp"
@@ -82,8 +81,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   };
   SchedulerOptions sched;
   sched.governor = &governor;
-  // protocol: relaxed-counter — CompSim tally, read at the final barrier.
-  std::atomic<std::uint64_t> invocations{0};
   const auto degree_of = [&](VertexId u) { return graph.degree(u); };
 
   const auto phase = [&](const char* name, auto&& body) {
@@ -122,7 +119,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
               local_flags.reserve(graph.degree(u));
               std::uint32_t sd = 0;
               std::uint32_t ed = graph.degree(u);
-              std::uint64_t local_invocations = 0;
               obs::AlgoCounters& c = counter_slot();
               for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                    ++e) {
@@ -132,7 +128,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
                 // accepted redundancy): one touched arc, pruned or computed.
                 c.arcs_touched += 1;
                 if (eval.computed) {
-                  ++local_invocations;
                   c.sims_computed += 1;
                 } else {
                   c.arcs_predicate_pruned += 1;
@@ -151,8 +146,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
               }
               run.result.roles[u] =
                   sd >= params.mu ? Role::Core : Role::NonCore;
-              invocations.fetch_add(local_invocations,
-                                    std::memory_order_relaxed);
             },
             sched);
       }
@@ -169,7 +162,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
           [&](VertexId u) { return run.result.roles[u] == Role::Core; },
           [&](VertexId u) {
             std::vector<std::pair<VertexId, VertexId>> local;
-            std::uint64_t local_invocations = 0;
             obs::AlgoCounters& c = counter_slot();
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
@@ -179,7 +171,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
                 const ArcEval eval = evaluate_arc(graph, params, u, v);
                 c.arcs_touched += 1;
                 if (eval.computed) {
-                  ++local_invocations;
                   c.sims_computed += 1;
                 } else {
                   c.arcs_predicate_pruned += 1;
@@ -194,8 +185,6 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
                 local.emplace_back(u, v);
               }
             }
-            invocations.fetch_add(local_invocations,
-                                  std::memory_order_relaxed);
             if (!local.empty()) {
               CheckedLock lock(merge_mutex);
               core_noncore_sim_edges.insert(core_noncore_sim_edges.end(),
@@ -235,7 +224,7 @@ ScanRun anyscan_lite(const CsrGraph& graph, const ScanParams& params,
   // Phase barriers ordered every worker's slot writes before this merge.
   run.stats.counters = counters.merged();
   record_executor(pool, run.stats);
-  run.stats.compsim_invocations = invocations.load(std::memory_order_relaxed);
+  run.stats.compsim_invocations = run.stats.counters.sims_computed;
   run.stats.total_seconds = total.elapsed_s();
   record_governance(governor, run.stats);
   return run;

@@ -1,7 +1,5 @@
 #include "scan/scanxp.hpp"
 
-#include <atomic>
-
 #include "concurrent/executor.hpp"
 #include "concurrent/run_governor.hpp"
 #include "concurrent/task_scheduler.hpp"
@@ -61,8 +59,6 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
   sched.governor = &governor;
   std::vector<TaskRange> scratch;  // flat boundary array, reused per phase
   const CountFn count = count_fn(options.count_kernel);
-  // protocol: relaxed-counter — CompSim tally, read at the final barrier.
-  std::atomic<std::uint64_t> invocations{0};
   const auto degree_of = [&](VertexId u) { return graph.degree(u); };
   const auto all = [](VertexId) { return true; };
 
@@ -90,7 +86,6 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
       const auto stats = schedule_vertex_tasks(
           executor, n, degree_of, all,
           [&](VertexId u) {
-            std::uint64_t local = 0;
             obs::AlgoCounters& c = counter_slot();
             for (EdgeId e = graph.offset_begin(u); e < graph.offset_end(u);
                  ++e) {
@@ -98,7 +93,6 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
               if (u >= v) continue;
               const std::uint64_t common =
                   count(graph.neighbors(u), graph.neighbors(v));
-              ++local;
               const bool s =
                   similarity_holds(params.eps, common + 2, graph.degree(u),
                                    graph.degree(v));
@@ -111,7 +105,6 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
               c.sims_computed += 1;
               c.sims_reused += 1;
             }
-            invocations.fetch_add(local, std::memory_order_relaxed);
           },
           sched, &scratch);
       run.stats.tasks_submitted += stats.tasks_submitted;
@@ -229,7 +222,7 @@ ScanRun scanxp(const CsrGraph& graph, const ScanParams& params,
   // The executor barrier above ordered every worker's slot writes before
   // this serial merge.
   run.stats.counters = counters.merged();
-  run.stats.compsim_invocations = invocations.load(std::memory_order_relaxed);
+  run.stats.compsim_invocations = run.stats.counters.sims_computed;
   record_executor(executor, run.stats);
   run.stats.total_seconds = total.elapsed_s();
   record_governance(governor, run.stats);

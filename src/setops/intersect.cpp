@@ -38,7 +38,34 @@ bool similar_auto(Neighbors nu, Neighbors nv, std::uint32_t min_cn) {
   return base(nu, nv, min_cn);
 }
 
+using MarkedSimilarFn = bool (*)(const std::uint64_t*, std::size_t, Neighbors,
+                                 std::uint32_t);
+using MarkedCountFn = std::uint64_t (*)(const std::uint64_t*, Neighbors);
+
 }  // namespace
+
+bool similar_marked(NeighborMarks& marks, VertexId u, Neighbors nu,
+                    Neighbors nv, std::uint32_t min_cn) {
+  static const MarkedSimilarFn probe =
+      kernel_supported(IntersectKind::PivotAvx512) ? &similar_marked_avx512
+                                                   : &similar_marked_scalar;
+  const std::size_t threshold = gallop_skew_threshold();
+  if (threshold > 0 &&
+      nv.size() > threshold * std::max<std::size_t>(nu.size(), 1)) {
+    return similar_gallop(nu, nv, min_cn);
+  }
+  marks.mark(u, nu);
+  return probe(marks.words().data(), nu.size(), nv, min_cn);
+}
+
+std::uint64_t count_marked(NeighborMarks& marks, VertexId u, Neighbors nu,
+                           Neighbors nv) {
+  static const MarkedCountFn probe =
+      kernel_supported(IntersectKind::PivotAvx512) ? &count_marked_avx512
+                                                   : &count_marked_scalar;
+  marks.mark(u, nu);
+  return probe(marks.words().data(), nv);
+}
 
 std::string to_string(IntersectKind kind) {
   switch (kind) {

@@ -25,6 +25,11 @@
 //                     GallopEarlyStop per pair when max(du,dv)/min(du,dv)
 //                     exceeds a threshold (PPSCAN_GALLOP_SKEW, default 64).
 //
+// The explicit kinds intersect two sorted lists. ppSCAN and the GS*-Index
+// build run Auto as a marked-neighborhood probe instead (similar_marked /
+// count_marked below): their pairs come in runs that share u, so N(u) is
+// marked once in a bitmap and each pair probes N(v) against it.
+//
 // Vector kernels require vertex ids < 2^31 (compares are signed); CsrGraph
 // guarantees that for any graph that fits in memory.
 #pragma once
@@ -32,6 +37,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "util/types.hpp"
 
@@ -100,6 +106,71 @@ using CountFn = std::uint64_t (*)(Neighbors, Neighbors);
 /// Exact-count kernel for `kind`: scalar kinds map to the merge count,
 /// vector kinds to their SIMD counts, Auto to the best supported.
 CountFn count_fn(IntersectKind kind);
+
+// --- marked-neighborhood kernels ------------------------------------------
+//
+// Every intersection on ppSCAN's and the GS*-Index build's hot paths is
+// "u against one of u's neighbors v", with u fixed across a run of pairs.
+// NeighborMarks holds N(u) as a bitmap of ⌈n/64⌉ words; re-marking costs
+// O(d_u) and happens only when u changes, and a pair then costs one probe
+// of each element of N(v): O(d_v), with no data-dependent merge branches.
+
+/// One worker's marked neighbor list. Not thread-safe: one per worker.
+class NeighborMarks {
+ public:
+  NeighborMarks() = default;
+  explicit NeighborMarks(VertexId num_vertices)
+      : words_(bytes_for(num_vertices) / sizeof(std::uint64_t), 0) {}
+
+  /// Heap bytes of a NeighborMarks over `num_vertices` ids.
+  static std::uint64_t bytes_for(VertexId num_vertices) {
+    return (std::uint64_t{num_vertices} + 63) / 64 * sizeof(std::uint64_t);
+  }
+
+  /// Makes `nu` = N(u) the marked list, unmarking the previous one; a no-op
+  /// when u is already marked. Callers pass the same list for the same u,
+  /// and it must stay valid while marked (CSR neighbor lists do).
+  void mark(VertexId u, Neighbors nu);
+
+  /// Unmarks the current list, leaving the bitmap all zero.
+  void clear();
+
+  [[nodiscard]] std::span<const std::uint64_t> words() const { return words_; }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  Neighbors marked_;
+  VertexId owner_ = kInvalidVertex;
+};
+
+/// CompSim(u, v) with N(u) (of size du) marked in `marks`: every element of
+/// nv is one bitmap probe. Keeps pSCAN's bounds — cn starts at 2 and counts
+/// hits, dv = d_v + 2 counts down on each miss, du + 2 < min_cn fails up
+/// front — and decides exactly what similar_merge_early_stop decides.
+bool similar_marked_scalar(const std::uint64_t* marks, std::size_t du,
+                           Neighbors nv, std::uint32_t min_cn);
+/// 16 probes per step: a masked load of nv, an i32gather of the bitmap
+/// words and a popcount of the hits. Requires AVX-512F.
+bool similar_marked_avx512(const std::uint64_t* marks, std::size_t du,
+                           Neighbors nv, std::uint32_t min_cn);
+
+/// |N(u) ∩ nv| with N(u) marked in `marks`.
+std::uint64_t count_marked_scalar(const std::uint64_t* marks, Neighbors nv);
+std::uint64_t count_marked_avx512(const std::uint64_t* marks, Neighbors nv);
+
+/// Auto's CompSim for a pair (u, v) of a run sharing u. Probes with the best
+/// supported variant after marking N(u) in `marks`, except that a pair whose
+/// nv is more than Auto's skew threshold times longer than nu gallops (the
+/// probe would walk the long list). Marking costs O(d_u) once per run, no
+/// more than the scan of u's arcs its caller makes anyway. Same decision
+/// as every other kernel.
+bool similar_marked(NeighborMarks& marks, VertexId u, Neighbors nu,
+                    Neighbors nv, std::uint32_t min_cn);
+
+/// Auto's exact count for a pair (u, v) of a run sharing u: |nu ∩ nv| by
+/// probing nv after marking N(u) in `marks`.
+std::uint64_t count_marked(NeighborMarks& marks, VertexId u, Neighbors nu,
+                           Neighbors nv);
 
 // --- shared pivot tail (exposed for the vector kernels and tests) -----------
 

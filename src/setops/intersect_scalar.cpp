@@ -1,6 +1,14 @@
 #include "setops/intersect.hpp"
 
 namespace ppscan {
+namespace {
+
+/// 1 when `w` is marked, else 0.
+inline std::uint32_t marked_bit(const std::uint64_t* marks, VertexId w) {
+  return static_cast<std::uint32_t>((marks[w >> 6] >> (w & 63)) & 1);
+}
+
+}  // namespace
 
 bool similar_merge_early_stop(Neighbors nu, Neighbors nv,
                               std::uint32_t min_cn) {
@@ -131,6 +139,42 @@ std::uint64_t intersect_count_galloping(Neighbors a, Neighbors b) {
     }
     if (lo >= b.size()) break;
   }
+  return count;
+}
+
+void NeighborMarks::mark(VertexId u, Neighbors nu) {
+  if (owner_ == u) return;
+  clear();
+  for (const VertexId w : nu) words_[w >> 6] |= std::uint64_t{1} << (w & 63);
+  marked_ = nu;
+  owner_ = u;
+}
+
+void NeighborMarks::clear() {
+  // Only the marked list's bits are set, so zeroing its words clears all.
+  for (const VertexId w : marked_) words_[w >> 6] = 0;
+  marked_ = {};
+  owner_ = kInvalidVertex;
+}
+
+bool similar_marked_scalar(const std::uint64_t* marks, std::size_t du,
+                           Neighbors nv, std::uint32_t min_cn) {
+  std::uint32_t cn = 2;
+  std::uint64_t dv = nv.size() + 2;
+  if (cn >= min_cn) return true;
+  if (du + 2 < min_cn || dv < min_cn) return false;
+  for (const VertexId w : nv) {
+    const std::uint32_t hit = marked_bit(marks, w);
+    cn += hit;
+    dv -= hit ^ 1;
+    if (cn >= min_cn || dv < min_cn) break;
+  }
+  return cn >= min_cn;
+}
+
+std::uint64_t count_marked_scalar(const std::uint64_t* marks, Neighbors nv) {
+  std::uint64_t count = 0;
+  for (const VertexId w : nv) count += marked_bit(marks, w);
   return count;
 }
 

@@ -173,6 +173,41 @@ TEST(GsIndex, CountKernelChoiceDoesNotChangeTheIndex) {
   }
 }
 
+TEST(GsIndex, MarkedCountAnswersLikeTheMergeCount) {
+  // Auto counts by probing each worker's marks of N(u); an index built that
+  // way must hold the merge count's overlaps and answer every query alike,
+  // on a community graph and on a hub-heavy one.
+  LfrParams lfr;
+  lfr.n = 1500;
+  lfr.avg_degree = 16;
+  RmatParams skewed;
+  skewed.scale = 12;
+  for (const auto& g : {lfr_like(lfr, 71), rmat(skewed, 72)}) {
+    GsIndex::BuildOptions merge;
+    merge.count_kernel = IntersectKind::MergeEarlyStop;
+    const GsIndex reference(g, merge);
+    for (const int threads : {1, 4}) {
+      GsIndex::BuildOptions marked;
+      marked.num_threads = threads;
+      const GsIndex index(g, marked);
+      ASSERT_TRUE(index.complete());
+      for (EdgeId e = 0; e < g.num_arcs(); ++e) {
+        ASSERT_EQ(index.arc_overlap(e), reference.arc_overlap(e))
+            << "arc " << e << " threads=" << threads;
+      }
+      EXPECT_EQ(index.build_stats().intersections, g.num_edges());
+      for (const auto& params : testing::parameter_grid()) {
+        const auto want = reference.query(params);
+        const auto got = index.query(params);
+        EXPECT_TRUE(results_equivalent(want.result, got.result))
+            << "eps=" << params.eps.to_double() << " mu=" << params.mu
+            << " threads=" << threads << ": "
+            << describe_result_difference(want.result, got.result);
+      }
+    }
+  }
+}
+
 TEST(GsIndex, ConstructionDoesOneIntersectionPerEdge) {
   const auto g = erdos_renyi(200, 1200, 29);
   const GsIndex index(g);

@@ -319,5 +319,161 @@ TEST(IntersectDispatch, SimilarFnReturnsWorkingFunction) {
   EXPECT_FALSE(fn(a, b, 6));
 }
 
+// ---------------------------------------------------------------------------
+// Marked-neighborhood kernels: one bitmap probe per element of N(v).
+
+/// A sorted set of `size` ids below `universe` that favors the ids where a
+/// bitmap kernel can go wrong: word boundaries of both the 32-bit gather
+/// words and the 64-bit bitmap words, and the last id universe − 1.
+std::vector<VertexId> boundary_heavy_set(Rng& rng, std::size_t size,
+                                         VertexId universe) {
+  std::set<VertexId> s;
+  while (s.size() < size) {
+    if (rng.next_below(3) == 0) {
+      const auto word = static_cast<VertexId>(rng.next_below(universe / 32));
+      const VertexId edge[] = {32 * word, 32 * word + 31, universe - 1};
+      s.insert(edge[rng.next_below(3)]);
+    } else {
+      s.insert(static_cast<VertexId>(rng.next_below(universe)));
+    }
+  }
+  return {s.begin(), s.end()};
+}
+
+bool all_clear(const NeighborMarks& marks) {
+  const auto words = marks.words();
+  return std::all_of(words.begin(), words.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+using MarkedSimilar = bool (*)(const std::uint64_t*, std::size_t, Neighbors,
+                               std::uint32_t);
+using MarkedCount = std::uint64_t (*)(const std::uint64_t*, Neighbors);
+
+/// Every nv length 0–70 (each tail length mod 16) against nu of length
+/// 0–70 — independent, a subset of nv, or a superset of it, so both bounds
+/// meet min_cn exactly — over universes that end mid-word and on a word
+/// boundary; every min_cn in [0, min(du, dv) + 3].
+void expect_marked_kernels_match(MarkedSimilar similar, MarkedCount count,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  for (const VertexId universe : {VertexId{160}, VertexId{1000},
+                                  VertexId{4096}, VertexId{100003}}) {
+    NeighborMarks marks(universe);
+    // Marked lists must outlive their marking, as CSR lists do.
+    std::vector<std::vector<VertexId>> lists;
+    lists.reserve(71);
+    for (std::size_t dv = 0; dv <= 70; ++dv) {
+      const auto nv = boundary_heavy_set(rng, dv, universe);
+      std::vector<VertexId> u_list =
+          boundary_heavy_set(rng, rng.next_below(71), universe);
+      if (dv % 3 == 1) {  // nu ⊆ nv
+        u_list.clear();
+        for (const VertexId w : nv) {
+          if (rng.next_below(2) == 0) u_list.push_back(w);
+        }
+      } else if (dv % 3 == 2) {  // nv ⊆ nu
+        std::set<VertexId> both(u_list.begin(), u_list.end());
+        both.insert(nv.begin(), nv.end());
+        u_list.assign(both.begin(), both.end());
+      }
+      const auto& nu = lists.emplace_back(std::move(u_list));
+      marks.mark(static_cast<VertexId>(dv), nu);
+      const std::uint64_t* bits = marks.words().data();
+      ASSERT_EQ(count(bits, nv), intersect_count_merge(nu, nv))
+          << "universe=" << universe << " du=" << nu.size() << " dv=" << dv;
+      const std::size_t top = std::min(nu.size(), nv.size()) + 3;
+      for (std::uint32_t min_cn = 0; min_cn <= top; ++min_cn) {
+        ASSERT_EQ(similar(bits, nu.size(), nv, min_cn),
+                  similar_merge_early_stop(nu, nv, min_cn))
+            << "universe=" << universe << " du=" << nu.size()
+            << " dv=" << dv << " min_cn=" << min_cn;
+      }
+    }
+    marks.clear();
+    EXPECT_TRUE(all_clear(marks)) << "universe=" << universe;
+  }
+}
+
+TEST(MarkedKernels, ScalarMatchesMerge) {
+  expect_marked_kernels_match(&similar_marked_scalar, &count_marked_scalar,
+                              83);
+}
+
+TEST(MarkedKernels, Avx512MatchesMerge) {
+  if (!kernel_supported(IntersectKind::PivotAvx512)) {
+    GTEST_SKIP() << "no AVX512";
+  }
+  expect_marked_kernels_match(&similar_marked_avx512, &count_marked_avx512,
+                              89);
+}
+
+TEST(MarkedKernels, RemarkingLeavesOnlyTheNewList) {
+  Rng rng(97);
+  const VertexId universe = 777;
+  NeighborMarks marks(universe);
+  EXPECT_TRUE(all_clear(marks));
+  std::vector<std::vector<VertexId>> lists;
+  lists.reserve(200);
+  std::vector<VertexId> previous;
+  const auto set_bits = [&] {
+    std::vector<VertexId> bits;
+    for (VertexId w = 0; w < universe; ++w) {
+      if ((marks.words()[w >> 6] >> (w & 63)) & 1) bits.push_back(w);
+    }
+    return bits;
+  };
+  for (VertexId u = 0; u < 200; ++u) {
+    const auto& nu = lists.emplace_back(
+        boundary_heavy_set(rng, rng.next_below(90), universe));
+    marks.mark(u, nu);
+    ASSERT_EQ(set_bits(), nu) << "u=" << u;
+    // Marking the held vertex again is a no-op, whatever list is passed.
+    marks.mark(u, previous);
+    ASSERT_EQ(set_bits(), nu) << "u=" << u;
+    previous = nu;
+  }
+  marks.clear();
+  EXPECT_TRUE(all_clear(marks));
+}
+
+TEST(MarkedKernels, DispatchersMatchMergeIncludingGallopedPairs) {
+  // The dispatchers mark lazily and similar_marked gallops when N(v) is
+  // far longer than N(u); every route must decide and count like the
+  // merge, hubs on either side included.
+  Rng rng(101);
+  const VertexId universe = 50000;
+  NeighborMarks marks(universe);
+  std::vector<std::vector<VertexId>> lists;
+  lists.reserve(120);
+  for (VertexId u = 0; u < 120; ++u) {
+    const bool hub = u % 3 == 0;
+    const auto& nu = lists.emplace_back(
+        random_sorted_set(rng, hub ? 3000 : 1 + rng.next_below(40), universe));
+    for (int pair = 0; pair < 6; ++pair) {
+      const bool big_v = pair % 3 == 2;
+      const auto nv = random_sorted_set(
+          rng, big_v ? 4000 : 1 + rng.next_below(40), universe);
+      EXPECT_EQ(count_marked(marks, u, nu, nv), intersect_count_merge(nu, nv));
+      for (const std::uint32_t min_cn : {0u, 3u, 4u, 6u, 9u, 30u}) {
+        EXPECT_EQ(similar_marked(marks, u, nu, nv, min_cn),
+                  similar_merge_early_stop(nu, nv, min_cn))
+            << "u=" << u << " |nu|=" << nu.size() << " |nv|=" << nv.size()
+            << " min_cn=" << min_cn;
+      }
+    }
+  }
+  marks.clear();
+  EXPECT_TRUE(all_clear(marks));
+}
+
+TEST(MarkedKernels, BytesCoverEveryId) {
+  EXPECT_EQ(NeighborMarks::bytes_for(0), 0u);
+  EXPECT_EQ(NeighborMarks::bytes_for(1), 8u);
+  EXPECT_EQ(NeighborMarks::bytes_for(64), 8u);
+  EXPECT_EQ(NeighborMarks::bytes_for(65), 16u);
+  EXPECT_EQ(NeighborMarks(440000).words().size(), 6875u);
+}
+
 }  // namespace
 }  // namespace ppscan

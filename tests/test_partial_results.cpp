@@ -163,6 +163,40 @@ TEST(PartialResults, DeadlinePartialStillValidates) {
   }
 }
 
+TEST(PartialResults, DeadlineInsidePruneSimReadsNoSimilarityState) {
+  // ppSCAN leaves its per-arc similarity array uninitialized until
+  // PruneSim's parallel stores, so a run cut short inside PruneSim must
+  // read none of it: every later phase is skipped and the partial result
+  // comes from the roles PruneSim settled. Deadlines sweep upward 1 ms at a
+  // time until one trips inside PruneSim.
+  const CsrGraph graph = community_graph(100000, 17);
+  const ScanParams params = ScanParams::make("0.5", 4);
+  AlgorithmConfig unconstrained;
+  unconstrained.num_threads = 2;
+  const ScanRun full = run_algorithm("ppSCAN", graph, params, unconstrained);
+  bool tripped_in_prune = false;
+  for (int ms = 1; ms <= 200 && !tripped_in_prune; ++ms) {
+    AlgorithmConfig config;
+    config.num_threads = 2;
+    config.limits.deadline = std::chrono::milliseconds(ms);
+    const ScanRun run = run_algorithm("ppSCAN", graph, params, config);
+    if (!run.partial()) break;  // the deadline outlasted the whole run
+    const std::string label = "deadline " + std::to_string(ms) + " ms";
+    EXPECT_EQ(run.stats.abort_reason, AbortReason::DeadlineExpired) << label;
+    expect_decided_prefix_agrees(run.result, full.result, label);
+    const ValidationReport report = validate_scan_result(
+        graph, params, run.result, ValidateMode::Partial);
+    EXPECT_TRUE(report.ok) << label << ": " << report.first_error;
+    if (run.stats.abort_phase == "PruneSim") {
+      tripped_in_prune = true;
+      EXPECT_EQ(run.stats.phases_completed, 0u) << label;
+      EXPECT_EQ(run.stats.counters.sims_computed, 0u) << label;
+      EXPECT_EQ(run.result.num_clusters(), 0u) << label;
+    }
+  }
+  EXPECT_TRUE(tripped_in_prune);
+}
+
 TEST(PartialResults, AbortedGsIndexConstructionRefusesQueries) {
   const CsrGraph graph = community_graph(300, 13);
   const ScanParams params = ScanParams::make("0.4", 3);

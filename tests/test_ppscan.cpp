@@ -41,6 +41,54 @@ TEST(PpScan, MatchesReferenceMultiThreaded) {
   }
 }
 
+TEST(PpScan, MarkedAutoMatchesMergeOnCommunityAndSkewedGraphs) {
+  // Auto probes N(v) against each worker's marks of N(u) and gallops on
+  // heavy degree skew. At ε = 0.05 the degree predicate leaves hub pairs
+  // undecided, so they reach the gallop path. Results must equal the merge
+  // kernel's, and at one thread so must the work: the funnel counts
+  // decided arcs, not kernel steps.
+  LfrParams lfr;
+  lfr.n = 1500;
+  lfr.avg_degree = 16;
+  RmatParams skewed;
+  skewed.scale = 12;
+  auto grid = testing::parameter_grid();
+  for (const std::uint32_t mu : {2u, 5u}) {
+    grid.push_back(ScanParams::make("0.05", mu));
+  }
+  for (const auto& g : {lfr_like(lfr, 73), rmat(skewed, 74)}) {
+    for (const int threads : {1, 4}) {
+      PpScanOptions merge;
+      merge.num_threads = threads;
+      merge.kernel = IntersectKind::MergeEarlyStop;
+      PpScanOptions marked;
+      marked.num_threads = threads;
+      for (const auto& params : grid) {
+        const auto want = ppscan(g, params, merge);
+        const auto got = ppscan(g, params, marked);
+        const std::string label = "eps=" +
+                                  std::to_string(params.eps.to_double()) +
+                                  " mu=" + std::to_string(params.mu) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(results_equivalent(want.result, got.result))
+            << label << ": "
+            << describe_result_difference(want.result, got.result);
+        EXPECT_EQ(got.stats.compsim_invocations,
+                  got.stats.counters.sims_computed)
+            << label;
+        if (threads == 1) {
+          EXPECT_EQ(got.stats.counters.sims_computed,
+                    want.stats.counters.sims_computed)
+              << label;
+          EXPECT_EQ(got.stats.counters.arcs_touched,
+                    want.stats.counters.arcs_touched)
+              << label;
+        }
+      }
+    }
+  }
+}
+
 struct PpScanConfig {
   int threads;
   IntersectKind kernel;
