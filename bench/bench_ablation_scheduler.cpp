@@ -1,4 +1,4 @@
-// Ablation: task scheduling policy, execution runtime, degree threshold
+// Ablation: task scheduling policy and degree threshold
 // (DESIGN.md §4).
 //
 // The paper tunes the degree-sum threshold to 32768 by doubling from 1
@@ -34,19 +34,16 @@ int main(int argc, char** argv) {
   const auto mu = static_cast<std::uint32_t>(flags.get_int("mu", 5));
   const auto params = ScanParams::make(flags.get_string("eps", "0.2"), mu);
 
-  Table policy_table({"policy", "runtime-kind", "runtime(s)", "tasks",
-                      "claimed", "steals", "busy(s)", "idle(s)",
-                      "idle-share"});
+  Table policy_table({"policy", "runtime(s)", "tasks", "claimed", "steals",
+                      "busy(s)", "idle(s)", "idle-share"});
   for (const auto kind : {SchedulerKind::DegreeSum, SchedulerKind::StaticRange,
-                          SchedulerKind::FixedChunk,
-                          SchedulerKind::OmpDynamic}) {
+                          SchedulerKind::FixedChunk}) {
     PpScanOptions options;
     options.num_threads = threads;
     options.scheduler.kind = kind;
     const auto run = ppscan::ppscan(graph, params, options);
     policy_table.add_row(
-        {to_string(kind), run.stats.runtime_kind,
-         Table::fmt(run.stats.total_seconds),
+        {to_string(kind), Table::fmt(run.stats.total_seconds),
          Table::fmt(run.stats.tasks_submitted),
          Table::fmt(run.stats.tasks_executed), Table::fmt(run.stats.steals),
          Table::fmt(run.stats.busy_seconds),

@@ -2,10 +2,10 @@
 //
 // Per-stage wall time of ppSCAN's four stages across a thread sweep.
 // Expected shape on a multi-core machine: all stages shrink with threads,
-// core checking dominating. NOTE (DESIGN.md §3): this container exposes a
-// single physical core, so wall-clock speedups cannot materialize here; the
-// harness still runs every thread count, verifies result equality, and
-// reports the task counts that demonstrate the scheduler's work division.
+// core checking dominating. Thread counts beyond the host's cores show no
+// further speedup; the harness still runs every thread count, verifies
+// result equality, and reports the task counts that demonstrate the
+// scheduler's work division.
 //
 // --numa=auto shards the CSR across the detected nodes (first-touch /
 // mbind placement), pins workers, and steals same-node first; the

@@ -17,15 +17,13 @@
 // no mutex, no per-task allocation.
 //
 // Alternative bundling policies for the scheduler ablation bench: static
-// (equal vertex ranges, one per thread) and fixed vertex-count chunks, plus
-// OpenMP `schedule(dynamic)` as the off-the-shelf alternative.
+// (one degree-weighted range per thread) and fixed vertex-count chunks.
+// Every policy runs on the same Executor; it is the library's only
+// parallel runtime.
 #pragma once
-
-#include <omp.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,25 +35,15 @@ namespace ppscan {
 
 enum class SchedulerKind : std::uint8_t {
   DegreeSum,   // Algorithm 5
-  StaticRange, // one equal-width range per thread
-  FixedChunk,  // fixed vertex count per task
-  OmpDynamic,  // OpenMP `schedule(dynamic)` — the off-the-shelf alternative
+  StaticRange, // one degree-weighted range per thread
+  FixedChunk,  // kFixedChunkSize vertices per task
 };
-
-inline SchedulerKind parse_scheduler_kind(const std::string& name) {
-  if (name == "degree") return SchedulerKind::DegreeSum;
-  if (name == "static") return SchedulerKind::StaticRange;
-  if (name == "chunk") return SchedulerKind::FixedChunk;
-  if (name == "omp") return SchedulerKind::OmpDynamic;
-  throw std::invalid_argument("unknown scheduler kind: " + name);
-}
 
 inline std::string to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::DegreeSum: return "degree";
     case SchedulerKind::StaticRange: return "static";
     case SchedulerKind::FixedChunk: return "chunk";
-    case SchedulerKind::OmpDynamic: return "omp";
   }
   return "?";
 }
@@ -63,17 +51,12 @@ inline std::string to_string(SchedulerKind kind) {
 struct SchedulerOptions {
   SchedulerKind kind = SchedulerKind::DegreeSum;
   std::uint64_t degree_threshold = 32768;  // paper's tuned value
-  VertexId chunk_size = 4096;              // for FixedChunk
   /// Run governance (cancellation/deadline/budget/watchdog). When set, the
   /// scheduled bodies poll the cancel token every kGovernorPollStride
-  /// vertices on both paths (executor and OpenMP) so even a
-  /// single huge range drains promptly after a trip. Not owned; must
-  /// outlive the scheduled phases. nullptr = ungoverned (zero overhead).
+  /// vertices so even a single huge range drains promptly after a trip.
+  /// Not owned; must outlive the scheduled phases. nullptr = ungoverned
+  /// (zero overhead).
   RunGovernor* governor = nullptr;
-  /// StaticRange only: split by equal *degree sums* instead of equal
-  /// vertex counts, so static partitions align with work on skewed
-  /// degree distributions (the similarity phases' cost is degree-shaped).
-  bool edge_balanced_static = false;
   /// Interior vertex boundaries no task may cross (NUMA node shards,
   /// from edge_balanced_boundaries). When set with an executor whose
   /// num_nodes() matches, bundled tasks are grouped
@@ -86,6 +69,9 @@ struct SchedulerOptions {
 /// Vertices between cancel-token polls inside a scheduled range. Power of
 /// two; one relaxed atomic load per stride on the governed path.
 inline constexpr VertexId kGovernorPollStride = 64;
+
+/// Vertices per task under the FixedChunk policy.
+inline constexpr VertexId kFixedChunkSize = 4096;
 
 /// Statistics of one scheduled phase, for the load-balance ablation.
 struct ScheduleStats {
@@ -122,47 +108,37 @@ void bundle_subrange(std::vector<TaskRange>& ranges, VertexId lo, VertexId hi,
       break;
     }
     case SchedulerKind::StaticRange: {
+      // Degree-weighted split: part i ends at the first vertex whose
+      // degree prefix crosses i/t of the sub-range's total, so every
+      // static partition carries a near-equal edge count instead of a
+      // near-equal vertex count (the similarity phases' cost is
+      // degree-shaped).
       const auto t = static_cast<VertexId>(std::max(1, num_threads));
-      if (options.edge_balanced_static) {
-        // Degree-weighted split: part i ends at the first vertex whose
-        // degree prefix crosses i/t of the sub-range's total, so every
-        // static partition carries a near-equal edge count instead of a
-        // near-equal vertex count.
-        std::uint64_t total = 0;
-        for (VertexId u = lo; u < hi; ++u) total += degree_of(u);
-        if (total == 0) {
-          push(lo, hi);
-          break;
-        }
-        std::uint64_t prefix = 0;
-        VertexId beg = lo;
-        VertexId part = 1;
-        for (VertexId u = lo; u < hi && part < t; ++u) {
-          prefix += degree_of(u);
-          if (prefix * t >= total * part) {
-            push(beg, u + 1);
-            beg = u + 1;
-            ++part;
-          }
-        }
-        push(beg, hi);
-      } else {
-        const VertexId width = std::max<VertexId>(1, (hi - lo + t - 1) / t);
-        for (VertexId beg = lo; beg < hi; beg += width) {
-          push(beg, std::min<VertexId>(beg + width, hi));
+      std::uint64_t total = 0;
+      for (VertexId u = lo; u < hi; ++u) total += degree_of(u);
+      if (total == 0) {
+        push(lo, hi);
+        break;
+      }
+      std::uint64_t prefix = 0;
+      VertexId beg = lo;
+      VertexId part = 1;
+      for (VertexId u = lo; u < hi && part < t; ++u) {
+        prefix += degree_of(u);
+        if (prefix * t >= total * part) {
+          push(beg, u + 1);
+          beg = u + 1;
+          ++part;
         }
       }
+      push(beg, hi);
       break;
     }
-    case SchedulerKind::FixedChunk: {
-      const VertexId width = std::max<VertexId>(1, options.chunk_size);
-      for (VertexId beg = lo; beg < hi; beg += width) {
-        push(beg, std::min<VertexId>(beg + width, hi));
+    case SchedulerKind::FixedChunk:
+      for (VertexId beg = lo; beg < hi; beg += kFixedChunkSize) {
+        push(beg, std::min<VertexId>(beg + kFixedChunkSize, hi));
       }
       break;
-    }
-    case SchedulerKind::OmpDynamic:
-      break;  // handled by the callers (no bundling)
   }
 }
 
@@ -213,25 +189,6 @@ std::uint64_t bundle_ranges(std::vector<TaskRange>& ranges, VertexId n,
   return ranges.size() - before;
 }
 
-template <typename NeedsWork, typename Work>
-void run_omp_dynamic(int num_threads, VertexId n, NeedsWork&& needs_work,
-                     Work&& work, RunGovernor* governor = nullptr) {
-  const std::int64_t count = n;
-  const CancelToken* token = governor != nullptr ? &governor->token() : nullptr;
-#pragma omp parallel for schedule(dynamic, 256) num_threads(num_threads)
-  for (std::int64_t u = 0; u < count; ++u) {
-    // OpenMP loops cannot break; a tripped token reduces each remaining
-    // iteration to one relaxed load per stride.
-    if (token != nullptr && (u & (kGovernorPollStride - 1)) == 0 &&
-        token->cancelled()) {
-      continue;
-    }
-    if (needs_work(static_cast<VertexId>(u))) {
-      work(static_cast<VertexId>(u));
-    }
-  }
-}
-
 /// Wraps the per-range body with the governed poll: one relaxed token load
 /// every kGovernorPollStride vertices, so a cancelled run abandons even a
 /// huge range in O(stride) work.
@@ -274,11 +231,6 @@ ScheduleStats schedule_vertex_tasks(Executor& executor, VertexId n,
   ScheduleStats stats;
   if (options.governor != nullptr && options.governor->should_stop()) {
     return stats;  // cancelled before bundling: the whole phase is skipped
-  }
-  if (options.kind == SchedulerKind::OmpDynamic) {
-    detail::run_omp_dynamic(executor.num_threads(), n, needs_work, work,
-                            options.governor);
-    return stats;  // bypasses the executor entirely
   }
   std::vector<TaskRange> local;
   std::vector<TaskRange>& ranges = scratch != nullptr ? *scratch : local;

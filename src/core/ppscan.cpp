@@ -42,10 +42,6 @@ class PpScanRunner {
     if (options.trace != nullptr) exec_->install_trace(options.trace);
     sched_ = options.scheduler;
     sched_.governor = &governor_;
-    // Static partitions follow the degree mass: every ppSCAN phase's cost
-    // is degree-shaped, so the StaticRange ablation splits by edge count
-    // rather than vertex count (no effect on the default DegreeSum policy).
-    sched_.edge_balanced_static = true;
     if (exec_->num_nodes() > 1) {
       // One edge-balanced vertex shard per NUMA node; bundled tasks never
       // cross a shard boundary and node k's workers claim shard k first —
@@ -82,8 +78,7 @@ class PpScanRunner {
       }
     }
     // One membership buffer per worker plus a trailing slot for the master
-    // (serial fallbacks) — the OpenMP policy's thread ids also land in
-    // [0, num_threads). Padded so concurrent appends never share a line.
+    // (serial fallbacks). Padded so concurrent appends never share a line.
     membership_slots_.resize(slots);
   }
 
@@ -146,9 +141,6 @@ class PpScanRunner {
     run.stats.counters = counters_.merged();
     run.stats.compsim_invocations = run.stats.counters.sims_computed;
     record_executor(*exec_, run.stats);
-    if (options_.scheduler.kind == SchedulerKind::OmpDynamic) {
-      run.stats.runtime_kind = "openmp";
-    }
     run.stats.numa_mode = to_string(options_.numa);
     run.stats.total_seconds = total.elapsed_s();
     record_governance(governor_, run.stats);
@@ -414,16 +406,10 @@ class PpScanRunner {
 
   /// Slot the calling thread may write without synchronization (both the
   /// membership buffers and the per-worker counter slots share this
-  /// layout): its executor worker slot, its OpenMP thread slot under the
-  /// omp policy, or the trailing master slot.
+  /// layout): its executor worker slot, or the trailing master slot.
   [[nodiscard]] std::size_t worker_slot() const {
     const int w = exec_->current_worker();
-    if (w >= 0) return static_cast<std::size_t>(w);
-    if (omp_in_parallel() != 0) {
-      return static_cast<std::size_t>(omp_get_thread_num()) %
-             membership_slots_.size();
-    }
-    return membership_slots_.size() - 1;
+    return w >= 0 ? static_cast<std::size_t>(w) : membership_slots_.size() - 1;
   }
 
   // Phase 7 — cores assign their cluster id to ε-similar non-core

@@ -30,7 +30,7 @@ EdgeId CsrGraph::arc_index(VertexId u, VertexId v) const {
   return offsets_[u] + static_cast<EdgeId>(it - nbrs.begin());
 }
 
-void CsrGraph::validate(bool check_symmetry) const {
+void CsrGraph::validate() const {
   const VertexId n = num_vertices();
 
   // Structural pass: the same single-sweep validator the binary loader
@@ -42,25 +42,14 @@ void CsrGraph::validate(bool check_symmetry) const {
   checker.feed(dst_.data(), dst_.size());
   checker.finish();
 
-  if (!check_symmetry) return;
-  bool symmetric = true;
-#pragma omp parallel for schedule(dynamic, 1024) reduction(&& : symmetric)
+  // Symmetry pass: one binary search per arc, stopping at the first arc
+  // (in CSR order) whose reverse is missing.
   for (VertexId u = 0; u < n; ++u) {
     for (const VertexId v : neighbors(u)) {
       if (arc_index(v, u) == kInvalidEdge) {
-        symmetric = false;
-        break;
-      }
-    }
-  }
-  if (!symmetric) {
-    for (VertexId u = 0; u < n; ++u) {
-      for (const VertexId v : neighbors(u)) {
-        if (arc_index(v, u) == kInvalidEdge) {
-          throw GraphIoError(GraphIoErrorKind::kAsymmetricArc,
-                             "arc (" + std::to_string(u) + "," +
-                                 std::to_string(v) + ") has no reverse arc");
-        }
+        throw GraphIoError(GraphIoErrorKind::kAsymmetricArc,
+                           "arc (" + std::to_string(u) + "," +
+                               std::to_string(v) + ") has no reverse arc");
       }
     }
   }

@@ -74,11 +74,10 @@ class CsrGraph {
   /// The structural checks are one linear pass over offsets plus one over
   /// dst: offsets start at 0, are monotone, end at num_arcs(); every
   /// dst[i] < num_vertices(); every neighbor list strictly ascending (no
-  /// duplicates) and self-loop-free. With `check_symmetry` (the default) a
-  /// second, O(arcs · log degree) pass additionally verifies that every arc
-  /// (u,v) has its reverse (v,u). Loaders run the linear pass only, so
-  /// validated loading stays O(read).
-  void validate(bool check_symmetry = true) const;
+  /// duplicates) and self-loop-free. A second, sequential O(arcs · log
+  /// degree) pass then verifies that every arc (u,v) has its reverse (v,u).
+  /// Loaders run the linear pass only, so validated loading stays O(read).
+  void validate() const;
 
   /// Applies a NUMA placement policy to the CSR pages in place (see
   /// graph/graph_placement.hpp): contents, addresses, and iterators are

@@ -68,8 +68,9 @@ struct PlacementReport {
 /// near-equal *edge* counts (degree-weighted, one sweep over the offsets
 /// array): returns the shards - 1 interior boundaries. Shards past the
 /// edge supply (more shards than edges) collapse to empty ranges at the
-/// tail. The same split serves placement shards and the edge-balanced
-/// StaticRange scheduler policy.
+/// tail. It serves the placement shards and ppSCAN's shard bounds; the
+/// StaticRange scheduler policy has its own degree-prefix loop
+/// (bundle_subrange in concurrent/task_scheduler.hpp).
 std::vector<VertexId> edge_balanced_boundaries(
     const std::vector<EdgeId>& offsets, std::size_t shards);
 

@@ -139,8 +139,7 @@ struct RunStats {
   std::uint32_t phases_completed = 0;
   std::uint64_t peak_governed_bytes = 0;
   /// Which execution runtime produced the executor counters above:
-  /// "worksteal" (the lock-free executor), "openmp" (ppSCAN's omp policy,
-  /// whose scheduled phases bypass the executor), or "serial". Under
+  /// "worksteal" (the lock-free executor) or "serial". Under
   /// "serial" the tasks_executed/steals/busy/idle block is *explicitly
   /// zero* — nothing kept such counters — so a metrics consumer must key
   /// off this field rather than read zeros as "perfectly balanced".

@@ -132,9 +132,6 @@ TEST(CsrGraph, ValidateRejectsAsymmetricArc) {
   const CsrGraph g(std::move(offsets), std::move(dst));
   EXPECT_EQ(thrown_kind([&] { g.validate(); }),
             GraphIoErrorKind::kAsymmetricArc);
-  // The structural linear pass (what the loaders run) has no symmetry
-  // check, so it accepts this graph.
-  EXPECT_NO_THROW(g.validate(/*check_symmetry=*/false));
 }
 
 TEST(CsrGraph, ConstructorRejectsMalformedOffsets) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace ppscan {
@@ -71,18 +74,55 @@ TEST(TaskScheduler, StaticRangePolicyCoversAllVertices) {
   EXPECT_EQ(stats.tasks_submitted, 4u);
 }
 
+TEST(TaskScheduler, StaticRangeSplitsByDegreeMass) {
+  // Harmonic degrees: vertex u has degree 1 + 10000/(u+1), so an
+  // equal-vertex split would hand the first task most of the edges. The
+  // degree-weighted split keeps every task's degree mass within one
+  // vertex's degree of total/t.
+  constexpr VertexId n = 10000;
+  constexpr int t = 4;
+  const auto degree_of = [](VertexId u) -> std::uint64_t {
+    return 1 + 10000 / (static_cast<std::uint64_t>(u) + 1);
+  };
+  std::uint64_t total = 0;
+  std::uint64_t max_degree = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    total += degree_of(u);
+    max_degree = std::max(max_degree, degree_of(u));
+  }
+  SchedulerOptions options;
+  options.kind = SchedulerKind::StaticRange;
+  std::vector<TaskRange> ranges;
+  const auto tasks = detail::bundle_ranges(
+      ranges, n, t, degree_of, [](VertexId) { return true; }, options);
+  ASSERT_EQ(tasks, static_cast<std::uint64_t>(t));
+  VertexId next = 0;
+  for (const TaskRange& r : ranges) {
+    ASSERT_EQ(r.beg, next);
+    next = r.end;
+    std::uint64_t mass = 0;
+    for (VertexId u = r.beg; u < r.end; ++u) mass += degree_of(u);
+    const double deviation =
+        std::abs(static_cast<double>(mass) - static_cast<double>(total) / t);
+    EXPECT_LE(deviation, static_cast<double>(max_degree))
+        << "task [" << r.beg << ", " << r.end << ") carries " << mass
+        << " of " << total;
+  }
+  EXPECT_EQ(next, n);
+}
+
 TEST(TaskScheduler, FixedChunkPolicyCoversAllVertices) {
-  constexpr VertexId n = 1000;
+  constexpr VertexId n = 10000;  // not a multiple of kFixedChunkSize
   Executor pool(4);
   SchedulerOptions options;
   options.kind = SchedulerKind::FixedChunk;
-  options.chunk_size = 64;
   Harness h(n);
   const auto stats = schedule_vertex_tasks(
       pool, n, [](VertexId) { return 1; }, [](VertexId) { return true; },
       [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
   for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
-  EXPECT_EQ(stats.tasks_submitted, (n + 63) / 64);
+  EXPECT_EQ(stats.tasks_submitted,
+            (n + kFixedChunkSize - 1) / kFixedChunkSize);
 }
 
 TEST(TaskScheduler, EmptyVertexRange) {
@@ -165,25 +205,10 @@ TEST(TaskScheduler, ExecutorRuntimeReusesScratch) {
   }
 }
 
-TEST(TaskScheduler, ExecutorRuntimeOmpDynamicBypass) {
-  constexpr VertexId n = 997;
-  Executor executor(4);
-  SchedulerOptions options;
-  options.kind = SchedulerKind::OmpDynamic;
-  Harness h(n);
-  schedule_vertex_tasks(
-      executor, n, [](VertexId) { return 1; },
-      [](VertexId u) { return u % 2 == 0; },
-      [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
-  for (VertexId u = 0; u < n; ++u) {
-    EXPECT_EQ(h.visited[u].load(), u % 2 == 0 ? 1 : 0);
-  }
-}
-
 TEST(TaskScheduler, StaticRangeEmptyVertexRange) {
   // n == 0 must produce no tasks and no zero-width ranges (the
-  // static-range width math is where the division/stride hazards live;
-  // see bundle_ranges).
+  // static-range split math is where the division hazards live; see
+  // bundle_ranges).
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
   Executor executor(4);
@@ -194,8 +219,8 @@ TEST(TaskScheduler, StaticRangeEmptyVertexRange) {
 }
 
 TEST(TaskScheduler, StaticRangeFewerVerticesThanThreads) {
-  // n < num_threads: width clamps to 1, giving n unit tasks — every vertex
-  // covered exactly once, no zero-width ranges.
+  // n < num_threads: every vertex crosses a split point, giving n unit
+  // tasks — every vertex covered exactly once, no zero-width ranges.
   constexpr VertexId n = 3;
   SchedulerOptions options;
   options.kind = SchedulerKind::StaticRange;
@@ -206,15 +231,6 @@ TEST(TaskScheduler, StaticRangeFewerVerticesThanThreads) {
       [&](VertexId u) { h.visited[u].fetch_add(1); }, options);
   for (VertexId u = 0; u < n; ++u) EXPECT_EQ(h.visited[u].load(), 1);
   EXPECT_EQ(stats.tasks_submitted, n);
-}
-
-TEST(SchedulerKindParsing, RoundTrip) {
-  for (const auto kind : {SchedulerKind::DegreeSum, SchedulerKind::StaticRange,
-                          SchedulerKind::FixedChunk,
-                          SchedulerKind::OmpDynamic}) {
-    EXPECT_EQ(parse_scheduler_kind(to_string(kind)), kind);
-  }
-  EXPECT_THROW(parse_scheduler_kind("bogus"), std::invalid_argument);
 }
 
 }  // namespace
